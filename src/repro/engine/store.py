@@ -600,12 +600,24 @@ class ShardedStore:
         self, loc: tuple[int, int, int, int], key: str
     ) -> dict | None:
         shard, segment, offset, length = loc
+        # Read the record with its framing: the newline before it (unless
+        # it starts the segment) and the newline after it.  A record
+        # whose line was welded to a neighbour is no record to the JSONL
+        # reading of the segment, so it is none here either.
+        lead = 1 if offset else 0
         try:
             fh = self._reader(shard, segment)
-            fh.seek(offset)
-            raw = fh.read(length)
+            fh.seek(offset - lead)
+            framed = fh.read(lead + length + 1)
         except OSError:
             return None
+        if (
+            len(framed) != lead + length + 1
+            or framed[-1:] != b"\n"
+            or (lead and framed[:1] != b"\n")
+        ):
+            return None
+        raw = framed[lead:-1]
         try:
             record = json.loads(raw)
         except ValueError:

@@ -283,12 +283,14 @@ def run_measurement_batch(
 
     # Step 1 - overhead measurement (an empty-call timing, itself noisy).
     # The overhead stream (-1) and raw duration are configuration-
-    # independent, so one estimate serves the whole batch.
+    # independent, so one estimate serves the whole batch; its stream is
+    # seeded together with the experiment streams.
+    streams = noise.streams(range(-1, n_experiments))
     overhead_estimate_ns = 0.0
     if options.subtract_overhead:
         raw = options.repetitions * CALL_OVERHEAD_NS
         overhead_estimate_ns = float(
-            noise.perturb_batch(np.array([raw]), env, (-1,))[0]
+            noise.perturb_batch(np.array([raw]), env, streams[:1])[0]
         )
 
     # Steps 2-3 - warm-up happens implicitly: when options.warmup is set
@@ -309,7 +311,7 @@ def run_measurement_batch(
     durations = options.repetitions * (ideals + CALL_OVERHEAD_NS)
     first_run_mask = np.arange(n_experiments) == 0
     perturbed = noise.perturb_batch(
-        durations, env, range(n_experiments), first_run_mask=first_run_mask
+        durations, env, streams[1:], first_run_mask=first_run_mask
     )
     tsc = np.maximum(perturbed - overhead_estimate_ns, 0.0) * tsc_ghz
 

@@ -55,10 +55,48 @@ CONFIDENCE = 0.95
 #: Histogram bounds for the per-job experiments-spent metric.
 EXPERIMENT_BUCKETS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
+#: The two-sided percentile interval of the bootstrap means, in percent.
+_ALPHA = 100.0 * (1.0 - CONFIDENCE) / 2.0
+_PERCENTILES = (_ALPHA, 100.0 - _ALPHA)
+
+
+def _percentile_plan(
+    n: int, percentiles: Sequence[float]
+) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
+    """``np.percentile``'s linear method for ``n`` values, precomputed.
+
+    Returns the order statistics numpy partitions ``n`` values at, and
+    per percentile the lower order statistic and the interpolation
+    weight towards the next one — each derived with numpy's own
+    operations, so the interval below is bit-identical to
+    ``np.percentile(values, percentiles)``.
+    """
+    virtual = (n - 1) * np.true_divide(percentiles, 100)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    below = below.astype(np.intp).tolist()
+    # numpy partitions at np.unique([0, -1, *below, *above]); np.unique
+    # itself would import numpy.ma into every process.
+    kth = np.array(sorted({0, -1, *below, *(k + 1 for k in below)}), dtype=np.intp)
+    return kth, tuple(zip(below, gamma.tolist()))
+
+
+_CI_KTH, _CI_PLAN = _percentile_plan(BOOTSTRAP_RESAMPLES, _PERCENTILES)
+
+
+def _lerp(below: float, above: float, t: float) -> float:
+    """numpy's percentile interpolation (``_lerp``), on scalars."""
+    diff = above - below
+    if t >= 0.5:
+        return above - diff * (1 - t)
+    return below + diff * t
+
+
 #: Cached resample-index matrices, keyed by ``(|seed|, n_samples)``.
-#: A campaign re-checks convergence at the same handful of sample counts
-#: for every job sharing a noise seed; the matrix depends on nothing
-#: else, so it is drawn once.
+#: Every configuration measured under one noise seed re-checks
+#: convergence at the same handful of sample counts; the matrix depends
+#: on nothing else, so it is drawn once per seed.  Campaign jobs each
+#: derive their own seed, so entries never hit across jobs.
 _RESAMPLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 _RESAMPLE_CACHE_MAX = 1 << 10
@@ -134,9 +172,11 @@ def resample_indices(seed: int, n_samples: int) -> np.ndarray:
 
     Shape ``(BOOTSTRAP_RESAMPLES, n_samples)``, values in
     ``[0, n_samples)``.  Keyed only by ``(|seed|, n_samples)`` so every
-    configuration with the same sample count resamples identically — the
-    property that makes adaptive convergence independent of batch
-    composition and config order.
+    configuration measured under one seed with the same sample count
+    resamples identically — the property that makes adaptive convergence
+    independent of batch composition and config order.  Campaign jobs
+    each derive their own seed, so the cache serves the configurations
+    of one job, never a later job.
     """
     key = (abs(seed), n_samples)
     indices = _RESAMPLE_CACHE.get(key)
@@ -173,8 +213,14 @@ def bootstrap_ci(
         return mean, mean, 0.0
     indices = resample_indices(seed, len(values))
     means = values[indices].mean(axis=1)
-    alpha = 100.0 * (1.0 - CONFIDENCE) / 2.0
-    lo, hi = np.percentile(means, (alpha, 100.0 - alpha))
+    means.partition(_CI_KTH)
+    if np.isnan(means[-1]):
+        # NaN sorts last, and numpy's percentile propagates it.
+        lo, hi = np.percentile(means, _PERCENTILES)
+    else:
+        lo, hi = (
+            _lerp(float(means[k]), float(means[k + 1]), t) for k, t in _CI_PLAN
+        )
     ci_low = min(float(lo), mean)
     ci_high = max(float(hi), mean)
     if mean > 0.0:
@@ -219,12 +265,14 @@ def run_adaptive_measurement_batch(
     budget = options.max_experiments
 
     # Overhead measurement: stream -1, one estimate for the whole batch —
-    # exactly the fixed path's step 1.
+    # exactly the fixed path's step 1.  Stream -1 and the whole
+    # experiment budget are seeded once; each round perturbs its slice.
+    streams = noise.streams(range(-1, budget))
     overhead_estimate_ns = 0.0
     if options.subtract_overhead:
         raw = options.repetitions * CALL_OVERHEAD_NS
         overhead_estimate_ns = float(
-            noise.perturb_batch(np.array([raw]), env, (-1,))[0]
+            noise.perturb_batch(np.array([raw]), env, streams[:1])[0]
         )
 
     # Ideal durations for the full budget up front; adaptive rounds slice
@@ -261,11 +309,13 @@ def run_adaptive_measurement_batch(
     while live:
         step = options.min_experiments if n_done == 0 else options.batch_size
         step = min(step, budget - n_done)
-        exp_indices = range(n_done, n_done + step)
         first_run_mask = np.arange(n_done, n_done + step) == 0
         durations = durations_full[np.array(live)][:, n_done : n_done + step]
         perturbed = noise.perturb_batch(
-            durations, env, exp_indices, first_run_mask=first_run_mask
+            durations,
+            env,
+            streams[1 + n_done : 1 + n_done + step],
+            first_run_mask=first_run_mask,
         )
         tsc = np.maximum(perturbed - overhead_estimate_ns, 0.0) * tsc_ghz
         n_done += step

@@ -20,7 +20,7 @@ the launcher's stability claim, reproduced as an assertable property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,16 +29,209 @@ import numpy as np
 #: A stream's first three draws — one standard normal, two uniforms — do
 #: not depend on the duration being perturbed or on the environment, only
 #: on the stream identity, so they can be drawn once and replayed for
-#: every measurement that shares the stream.  Constructing the
-#: ``SeedSequence``/``Generator`` pair dominates :meth:`NoiseModel.perturb`
-#: (an order of magnitude over the draws themselves); a kernel sweep that
-#: reuses one noise seed across hundreds of configurations pays it once
-#: per stream instead of once per configuration.
+#: every measurement that shares the stream.  Only callers that share one
+#: noise seed hit it: a sweep measured call by call under one
+#: ``NoiseModel`` seeds each stream once instead of once per
+#: configuration.  Campaign jobs each derive their own seed, so their
+#: streams never hit across jobs.
 _STREAM_CACHE: dict[tuple[int, int], tuple[float, float, float]] = {}
 
 #: Cache bound: cleared wholesale when full (campaign runs derive a fresh
 #: seed per job, so unbounded growth is otherwise possible).
 _STREAM_CACHE_MAX = 1 << 16
+
+#: Offset of the experiment word in a stream's entropy
+#: ``(|seed|, experiment + _STREAM_OFFSET)``: keeps the overhead slot
+#: (experiment -1) non-negative.
+_STREAM_OFFSET = 1_000_003
+
+# ``numpy.random.SeedSequence``'s constants: the pool size in 32-bit
+# words and the hash/mix multipliers of its entropy pool.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_XSHIFT = 16
+_INIT_A = 0x43B0_D7E5
+_MULT_A = 0x931E_8875
+_INIT_B = 0x8B51_F9DD
+_MULT_B = 0x58F3_8DED
+_MIX_MULT_L = 0xCA01_F9DD
+_MIX_MULT_R = 0x4973_F715
+
+
+def _hash_constants(
+    init: int, mult: int, calls: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (xor, multiply) constants of ``calls`` successive hash steps.
+
+    ``SeedSequence`` threads one running hash constant through its hash
+    steps: each step xors the value with the constant, advances the
+    constant by ``mult`` and multiplies by the advanced constant.  The
+    schedule never depends on the data, so it is computed once.
+    """
+    xors, mults = [], []
+    for _ in range(calls):
+        xors.append(init)
+        init = (init * mult) & _MASK32
+        mults.append(init)
+    return tuple(xors), tuple(mults)
+
+
+# Pool fill (one step per pool word), then the all-pairs mixing.
+_POOL_XOR, _POOL_MUL = _hash_constants(
+    _INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE
+)
+
+
+def _mix_columns(constants: tuple[int, ...]) -> np.ndarray:
+    """Mixing-step constants as uint32 columns, one per source word.
+
+    Source word ``src`` mixes into every other pool word, in index
+    order; its own row holds a placeholder, since it is never mixed into
+    itself.
+    """
+    rows = []
+    for src in range(_POOL_SIZE):
+        first = _POOL_SIZE + src * (_POOL_SIZE - 1)
+        row = list(constants[first : first + _POOL_SIZE - 1])
+        row.insert(src, 0)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint32)[:, :, None]
+
+
+_FILL_XOR, _FILL_MUL = (
+    np.array(c[:_POOL_SIZE], dtype=np.uint32)[:, None]
+    for c in (_POOL_XOR, _POOL_MUL)
+)
+_MIX_XOR, _MIX_MUL = _mix_columns(_POOL_XOR), _mix_columns(_POOL_MUL)
+
+# generate_state(4, uint64): eight output words.
+_STATE_XOR, _STATE_MUL = (
+    np.array(c, dtype=np.uint32)[:, None]
+    for c in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+)
+
+
+def seed_states(seed: int, words: Sequence[int]) -> np.ndarray:
+    """``SeedSequence`` state words of many streams, in one vectorized pass.
+
+    Row ``i`` of the ``(len(words), 4)`` uint64 result equals
+    ``np.random.SeedSequence((seed, words[i])).generate_state(4,
+    np.uint64)`` bit for bit.  When the seed and every word fit 32 bits,
+    the entropy pool's hashing and mixing run as uint32 array math over
+    all streams at once (the hash constants never depend on the data).
+    Anything else goes through ``SeedSequence`` itself, stream by stream.
+    """
+    n = len(words)
+    if n == 0:
+        return np.empty((0, _POOL_SIZE), dtype=np.uint64)
+    if not (0 <= seed <= _MASK32 and min(words) >= 0 and max(words) <= _MASK32):
+        seed_sequence = np.random.SeedSequence
+        return np.array(
+            [
+                seed_sequence((seed, word)).generate_state(4, np.uint64)
+                for word in words
+            ],
+            dtype=np.uint64,
+        )
+
+    # Fill the pool with the two entropy words and zeros, each hashed.
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    pool[0] = seed
+    pool[1] = words
+    pool ^= _FILL_XOR
+    pool *= _FILL_MUL
+    pool ^= pool >> _XSHIFT
+
+    # Mix every pool word into every other one: all rows at once, then
+    # the source row is put back.
+    for src in range(_POOL_SIZE):
+        hashed = pool[src] ^ _MIX_XOR[src]
+        hashed *= _MIX_MUL[src]
+        hashed ^= hashed >> _XSHIFT
+        mixed = pool * np.uint32(_MIX_MULT_L)
+        mixed -= hashed * np.uint32(_MIX_MULT_R)
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+
+    # generate_state: cycle the pool through the output hash.
+    state = np.concatenate((pool, pool))
+    state ^= _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> _XSHIFT
+    return (
+        np.ascontiguousarray(state.T)
+        .astype("<u4", copy=False)
+        .view("<u8")
+        .astype(np.uint64, copy=False)
+    )
+
+
+class _StateWords:
+    """A seed sequence that replays one stream's precomputed state words.
+
+    Registered as a ``numpy.random.bit_generator.ISeedSequence`` on first
+    use, so ``PCG64`` seeds itself from the words directly.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(
+        self, n_words: int, dtype: object = np.uint32
+    ) -> np.ndarray:
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed state words serve PCG64 seeding only")
+        return self.words
+
+
+def _generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One ``Generator(PCG64)`` per row of ``seed_states`` output."""
+    # ``np.random`` is imported on first access: processes that never
+    # draw (the parent of a pooled campaign) never load it.
+    random = np.random
+    random.bit_generator.ISeedSequence.register(_StateWords)
+    generator, pcg64 = random.Generator, random.PCG64
+    return [generator(pcg64(_StateWords(words))) for words in states]
+
+
+class NoiseStreams:
+    """One noise model's per-experiment streams, seeded in bulk.
+
+    Iterates as the experiment indices it was built for, so it can stand
+    wherever :meth:`NoiseModel.perturb_batch` takes ``experiments``; a
+    slice shares the precomputed state words.  Build one with
+    :meth:`NoiseModel.streams` to seed a whole experiment budget once and
+    hand each batch of experiments its slice.
+    """
+
+    __slots__ = ("seed", "experiments", "states")
+
+    def __init__(
+        self, seed: int, experiments: tuple[int, ...], states: np.ndarray
+    ) -> None:
+        self.seed = seed
+        self.experiments = experiments
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.experiments)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.experiments)
+
+    def __getitem__(self, index: slice) -> NoiseStreams:
+        return NoiseStreams(
+            self.seed, self.experiments[index], self.states[index]
+        )
+
+    def generators(
+        self, rows: Sequence[int] | None = None
+    ) -> list[np.random.Generator]:
+        """Fresh generators for every stream, or for the given rows."""
+        return _generators(self.states if rows is None else self.states[rows])
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,12 +268,25 @@ class NoiseModel:
     def rng_for(self, experiment: int) -> np.random.Generator:
         """Independent, reproducible stream per outer-loop experiment.
 
-        ``experiment`` may be negative (the overhead-measurement slot is
-        conventionally -1); seed material must be non-negative.
+        The stream is ``default_rng(SeedSequence((|seed|, experiment +
+        1_000_003)))``; ``experiment`` may be negative (the
+        overhead-measurement slot is conventionally -1), and seed
+        material must be non-negative.
         """
-        return np.random.default_rng(
-            np.random.SeedSequence((abs(self.seed), experiment + 1_000_003))
-        )
+        return self.streams((experiment,)).generators()[0]
+
+    def streams(self, experiments: Sequence[int]) -> NoiseStreams:
+        """The streams of ``experiments``, seeded in one vectorized pass.
+
+        Stream ``i`` is ``rng_for(experiments[i])``.  Streams this model
+        already seeded are returned as they are.
+        """
+        seed = abs(self.seed)
+        if isinstance(experiments, NoiseStreams) and experiments.seed == seed:
+            return experiments
+        experiments = tuple(map(int, experiments))
+        words = [e + _STREAM_OFFSET for e in experiments]
+        return NoiseStreams(seed, experiments, seed_states(seed, words))
 
     def perturb(
         self,
@@ -125,28 +331,27 @@ class NoiseModel:
         ``numpy`` seeds every stream independently, so draws taken past
         the ones a given environment consumes never change the earlier
         values — caching one normal and two uniforms per stream serves
-        every interrupt-masked environment, pinned or not.
+        every interrupt-masked environment, pinned or not.  The streams
+        missing from the cache are seeded together.
         """
         seed_key = abs(self.seed)
-        n = len(experiments)
-        z = np.empty(n)
-        u1 = np.empty(n)
-        u2 = np.empty(n)
-        for i, experiment in enumerate(experiments):
-            key = (seed_key, experiment)
-            primitives = _STREAM_CACHE.get(key)
-            if primitives is None:
-                rng = self.rng_for(experiment)
-                primitives = (
+        keys = [(seed_key, int(e)) for e in experiments]
+        primitives = [_STREAM_CACHE.get(key) for key in keys]
+        missing = [i for i, p in enumerate(primitives) if p is None]
+        if missing:
+            generators = self.streams(experiments).generators(missing)
+            for i, rng in zip(missing, generators):
+                drawn = (
                     float(rng.standard_normal()),
                     float(rng.random()),
                     float(rng.random()),
                 )
                 if len(_STREAM_CACHE) >= _STREAM_CACHE_MAX:
                     _STREAM_CACHE.clear()
-                _STREAM_CACHE[key] = primitives
-            z[i], u1[i], u2[i] = primitives
-        return z, u1, u2
+                _STREAM_CACHE[keys[i]] = drawn
+                primitives[i] = drawn
+        table = np.array(primitives, dtype=np.float64).reshape(len(keys), 3)
+        return table[:, 0], table[:, 1], table[:, 2]
 
     def perturb_batch(
         self,
@@ -169,7 +374,6 @@ class NoiseModel:
         vectorized arithmetic replays the scalar operation order exactly.
         """
         durations = np.array(durations_ns, dtype=np.float64, ndmin=1)
-        experiments = [int(e) for e in experiments]
         n = len(experiments)
         if durations.shape[-1] != n:
             raise ValueError(
@@ -193,29 +397,31 @@ class NoiseModel:
         else:
             # The poisson tick count depends on each duration, so the
             # streams must be consumed live, in scalar draw order.
-            generators = [self.rng_for(e) for e in experiments]
-            factors = np.empty(n)
-            for i, rng in enumerate(generators):
-                factor = 1.0 + rng.normal(0.0, jitter_sigma)
+            generators = self.streams(experiments).generators()
+            # 1.0 + sigma * z is bit-identical to rng.normal(0.0, sigma).
+            sigma = float(jitter_sigma)
+            factors = []
+            for rng in generators:
+                factor = 1.0 + sigma * rng.standard_normal()
                 if not env.pinned and rng.random() < self.migration_probability:
                     factor += rng.random() * self.migration_magnitude
-                factors[i] = factor
+                factors.append(factor)
+            factors = np.array(factors)
+            rows = durations.reshape(-1, n)
             expected = np.maximum(
-                durations / 1e6 * self.interrupt_rate_per_ms, 0.0
-            )
-            ticks = np.empty(durations.shape)
-            if durations.ndim == 1:
-                for i, rng in enumerate(generators):
-                    ticks[i] = rng.poisson(expected[i])
-            else:
-                # Each configuration perturbs with a *fresh* generator in
-                # the sequential path; replay that by snapshotting the
-                # post-prefix state and restoring it per configuration.
-                for i, rng in enumerate(generators):
-                    state = rng.bit_generator.state
-                    for k in range(durations.shape[0]):
+                rows / 1e6 * self.interrupt_rate_per_ms, 0.0
+            ).tolist()
+            ticks = np.empty(rows.shape)
+            # Each configuration perturbs with a *fresh* generator in the
+            # sequential path; replay that by restoring the post-prefix
+            # state for every configuration after the first.
+            for i, rng in enumerate(generators):
+                state = rng.bit_generator.state if len(rows) > 1 else None
+                for k, row in enumerate(expected):
+                    if k:
                         rng.bit_generator.state = state
-                        ticks[k, i] = rng.poisson(expected[k, i])
+                    ticks[k, i] = rng.poisson(row[i])
+            ticks = ticks.reshape(durations.shape)
             durations = durations + ticks * self.interrupt_cost_us * 1e3
 
         if first_run_mask is not None and not env.warmed_up:
