@@ -50,13 +50,12 @@ import pytest
 from repro.engine import Campaign, SweepSpec
 from repro.engine import runner
 from repro.engine.pool import shutdown_worker_pool
+from repro.engine.cache import ResultCache
 from repro.engine.runner import (
-    DEFAULT_CHUNK_TARGET_MS,
     RunStats,
     _execute_chunk,
     _parallel_execute,
     _SEED_CHUNK_SIZE,
-    resolve_chunk_size,
 )
 from repro.engine.store import open_result_cache
 from repro.kernels import loadstore_family
@@ -72,6 +71,16 @@ BATCH_ROWS = 2_000
 CHUNK_ROWS = 256
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dispatch.json"
+
+#: The pre-pool executor's chunk ceiling: cache writes stayed granular.
+_ORACLE_MAX_CHUNK = 32
+
+
+def _oracle_chunk_size(n_jobs: int) -> int:
+    """The pre-pool executor's static auto-size rule: a few chunks per
+    worker, so one slow chunk does not straggle the pool."""
+    per_worker_share = -(-n_jobs // (WORKERS * 4))
+    return max(1, min(_ORACLE_MAX_CHUNK, per_worker_share))
 
 
 def _campaign() -> Campaign:
@@ -113,7 +122,7 @@ def _stub_run_job(launcher, job, faults=None, attempt=0):
 
 def _run_oracle(campaign, jobs) -> tuple[float, dict]:
     """The pre-persistent-pool dispatch: fresh executor, static chunks."""
-    chunk = resolve_chunk_size(None, n_jobs=len(jobs), workers=WORKERS)
+    chunk = _oracle_chunk_size(len(jobs))
     out: dict = {}
     started = time.perf_counter()
     with cf.ProcessPoolExecutor(max_workers=WORKERS) as pool:
@@ -131,10 +140,7 @@ def _run_new(campaign, jobs) -> tuple[float, dict]:
     """The persistent-pool dispatch (spawns only if no pool is alive)."""
     out: dict = {}
     stats = RunStats(
-        total_jobs=len(jobs),
-        workers=WORKERS,
-        chunk_policy="dynamic",
-        chunk_size=_SEED_CHUNK_SIZE,
+        total_jobs=len(jobs), workers=WORKERS, chunk_size=_SEED_CHUNK_SIZE
     )
 
     def record_batch(pairs):
@@ -152,13 +158,17 @@ def _run_new(campaign, jobs) -> tuple[float, dict]:
         max_retries=0,
         job_timeout=None,
         retry_backoff=0.0,
-        chunk_target_ms=DEFAULT_CHUNK_TARGET_MS,
+        chunk_size=None,
         record_batch=record_batch,
         quarantine=lambda job, reason: None,
         say=lambda line: None,
     )
     assert leftover is None
     return time.perf_counter() - started, out
+
+
+def _open_cache(directory: Path, fmt: str):
+    return ResultCache(directory) if fmt == "jsonl" else open_result_cache(directory)
 
 
 def _bench_cache_batching() -> dict:
@@ -176,13 +186,13 @@ def _bench_cache_batching() -> dict:
     for fmt in ("jsonl", "sharded"):
         root = Path(tempfile.mkdtemp(prefix="bench-dispatch-"))
         try:
-            cache = open_result_cache(root / "per-row", store_format=fmt)
+            cache = _open_cache(root / "per-row", fmt)
             started = time.perf_counter()
             for i in range(BATCH_ROWS):
                 cache.put(f"job-{i:08d}", payload, kernel="k", mode="m")
             put_s = time.perf_counter() - started
 
-            cache = open_result_cache(root / "batched", store_format=fmt)
+            cache = _open_cache(root / "batched", fmt)
             entries = [
                 (f"job-{i:08d}", payload, "k", "m") for i in range(BATCH_ROWS)
             ]
@@ -241,9 +251,7 @@ def test_dispatch_throughput():
             "jobs": len(jobs),
             "distinct_kernels": len({j.kernel_digest for j in jobs}),
             "workers": WORKERS,
-            "oracle_chunk": resolve_chunk_size(
-                None, n_jobs=len(jobs), workers=WORKERS
-            ),
+            "oracle_chunk": _oracle_chunk_size(len(jobs)),
             "runs": RUNS,
         },
         "oracle": {

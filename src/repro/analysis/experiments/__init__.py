@@ -6,6 +6,11 @@ series/rows the paper's figure or table reports, plus scalar ``notes``
 paper's shape claims.  ``quick=True`` shrinks sweeps for the test suite;
 the benchmarks run the full versions.
 
+Experiments that run campaigns take one ``engine`` mapping of
+:func:`repro.engine.run_campaign` keyword arguments (``jobs``,
+``cache_dir``, ``max_retries``, ...) and pass it to every campaign
+whole; the others ignore it.
+
 Registry keys match DESIGN.md's experiment index: ``fig02``...``fig18``,
 ``table1``, ``table2``, ``generation_scale``, ``stability``, and the
 design-choice ablations.

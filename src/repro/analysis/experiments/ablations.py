@@ -22,48 +22,21 @@ def _ram_load_kernel(creator: MicroCreator):
     )
 
 
-def _grid(
-    name, kernel, base, axes, *, machine,
-    jobs=1, chunk_size=None, chunk_policy="auto", chunk_target_ms=None,
-    cache_dir=None, resume=True,
-    max_retries=2, job_timeout=None, gen_cache_dir=None,
-    store_format="sharded",
-):
+def _grid(name, kernel, base, axes, *, machine, engine=None):
     """Run one single-kernel option grid through the campaign engine."""
     campaign = Campaign(
         name=name,
         machine=machine,
         sweeps=(SweepSpec(kernels=(kernel,), base=base, axes=axes),),
     )
-    return run_campaign(
-        campaign,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
-    )
+    return run_campaign(campaign, **(engine or {}))
 
 
 @register("ablation_aggregator")
 def ablation_aggregator(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Min vs. mean vs. median aggregation under noise.
@@ -87,16 +60,7 @@ def ablation_aggregator(
         base,
         {"aggregator": ("min", "median", "mean")},
         machine=machine,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     table = Table(header=("aggregator", "cycles/iter", "vs min"), title="aggregators")
     results = {
@@ -119,16 +83,7 @@ def ablation_aggregator(
 @register("ablation_warmup")
 def ablation_warmup(
     *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Cache heating (Fig. 10's first untimed call).
@@ -151,16 +106,7 @@ def ablation_warmup(
         base,
         {"warmup": (True, False)},
         machine=machine,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     by_warmup = {job.tags["warmup"]: m for job, m in run.rows()}
     warm, cold = by_warmup[True], by_warmup[False]
@@ -183,16 +129,7 @@ def ablation_warmup(
 @register("ablation_overhead")
 def ablation_overhead(
     *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Call-overhead subtraction vs. trip count.
@@ -216,16 +153,7 @@ def ablation_overhead(
         base,
         {"trip_count": trips, "subtract_overhead": (True, False)},
         machine=machine,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     cycles = {
         (job.tags["trip_count"], job.tags["subtract_overhead"]): m.cycles_per_iteration
@@ -258,16 +186,7 @@ def ablation_overhead(
 @register("ablation_inner_reps")
 def ablation_inner_reps(
     *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Inner-loop repetitions vs. result variance.
@@ -290,16 +209,7 @@ def ablation_inner_reps(
         base,
         {"repetitions": (1, 4, 16, 64, 256)},
         machine=machine,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     table = Table(header=("repetitions", "spread"), title="inner repetitions")
     spreads = {}

@@ -25,16 +25,7 @@ def _eight_load_ram_kernel(creator: MicroCreator):
 def fig14(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Fig. 14: forked multi-core RAM kernel — bandwidth saturation.
@@ -57,16 +48,7 @@ def fig14(
     )
     run = run_campaign(
         Campaign(name="fig14_forked", machine=machine, sweeps=(sweep,)),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        **(engine or {}),
     )
     by_cores = {
         job.tags["n_cores"]: statistics.fmean(m.cycles_per_iteration for m in ms)
@@ -164,16 +146,7 @@ def _seq_omp_rows(
     options: LauncherOptions,
     machine,
     *,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
 ):
     """Run the same kernels sequentially and under OpenMP as one campaign.
 
@@ -187,16 +160,7 @@ def _seq_omp_rows(
     )
     run = run_campaign(
         Campaign(name=name, machine=machine, sweeps=sweeps),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        **(engine or {}),
     )
     grouped = run.grouped("exec")
     return (
@@ -209,16 +173,7 @@ def _openmp_vs_sequential(
     n_elements: int,
     *,
     quick: bool,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
 ):
     """Shared Figs. 17/18 implementation: movss loads, unroll 1..8."""
     machine = sandy_bridge_e31240()
@@ -241,16 +196,7 @@ def _openmp_vs_sequential(
         kernels,
         options,
         machine,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     xs, seq_y, seq_lo, seq_hi, omp_y, omp_lo, omp_hi = [], [], [], [], [], [], []
     for kernel, seq, omp in zip(kernels, seq_ms, omp_ms):
@@ -289,31 +235,13 @@ def _openmp_vs_sequential(
 def fig17(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Fig. 17: OpenMP vs sequential movss loads, 128k-element array."""
     series, notes = _openmp_vs_sequential(
         128 * 1024, quick=quick,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     return ExperimentResult(
         exhibit="fig17",
@@ -332,16 +260,7 @@ def fig17(
 def fig18(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Fig. 18: the same with six million elements (RAM resident).
@@ -351,16 +270,7 @@ def fig18(
     """
     series, notes = _openmp_vs_sequential(
         6_000_000, quick=quick,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     return ExperimentResult(
         exhibit="fig18",
@@ -379,16 +289,7 @@ def fig18(
 def table2(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     **_: object,
 ) -> ExperimentResult:
     """Table 2: execution seconds, OpenMP vs sequential, unroll 1..8.
@@ -420,16 +321,7 @@ def table2(
         kernels,
         options,
         machine,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
     )
     table = Table(header=("unroll", "openmp_s", "sequential_s"), title="Table 2")
     omp_col, seq_col = [], []

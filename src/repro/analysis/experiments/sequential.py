@@ -19,16 +19,7 @@ def _unroll_hierarchy(
     opcode: str,
     *,
     quick: bool,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     rciw_target: float | None = None,
     max_experiments: int | None = None,
 ) -> ExperimentResult:
@@ -66,16 +57,7 @@ def _unroll_hierarchy(
     )
     run = run_campaign(
         Campaign(name=f"unroll_hierarchy_{opcode}", machine=machine, sweeps=sweeps),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        **(engine or {}),
     )
     series = []
     for level in _LEVELS:
@@ -122,16 +104,7 @@ def _unroll_hierarchy(
 def fig11(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -140,16 +113,7 @@ def fig11(
     result = _unroll_hierarchy(
         "movaps",
         quick=quick,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
         rciw_target=rciw_target,
         max_experiments=max_experiments,
     )
@@ -161,16 +125,7 @@ def fig11(
 def fig12(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -185,16 +140,7 @@ def fig12(
     result = _unroll_hierarchy(
         "movss",
         quick=quick,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        engine=engine,
         rciw_target=rciw_target,
         max_experiments=max_experiments,
     )
@@ -206,16 +152,7 @@ def fig12(
 def fig13(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
-    store_format: str = "sharded",
+    engine: dict | None = None,
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -253,16 +190,7 @@ def fig13(
     )
     run = run_campaign(
         Campaign(name="fig13_dvfs", machine=machine, sweeps=sweeps),
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
+        **(engine or {}),
     )
     series = []
     for level in _LEVELS:

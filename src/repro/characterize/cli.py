@@ -16,8 +16,9 @@ first, so a bare ``verify`` is a self-contained round-trip check.
 semantics — empty on a simulated machine, the interesting output on a
 real one.
 
-Campaigns run through the engine, so ``--jobs``, ``--cache-dir``,
-``--resume`` and ``--store-format`` behave exactly as in the other CLIs;
+Campaigns run through the engine, whose flags (``--jobs``,
+``--chunk-size``, ``--cache-dir``, ``--resume``, ``--max-retries``,
+``--job-timeout``) are bound exactly as in the other CLIs;
 the solved table is byte-identical for every worker count and across a
 kill/resume.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli.engine_args import add_engine_arguments, engine_kwargs
 from repro.machine import PRESETS, preset
 from repro.machine.serialize import MachineFileError, load_machine, save_overlay
 
@@ -79,48 +81,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="adaptive cap per probe configuration (default: 32)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes"
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="K",
-        help="jobs per worker batch (default: auto)",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        choices=("auto", "static", "dynamic"),
-        default="auto",
-        help="chunk sizing: 'dynamic' re-sizes from measured per-job "
-        "durations; 'static' uses fixed --chunk-size batches",
-    )
-    parser.add_argument(
-        "--chunk-target-ms", type=float, default=None, metavar="MS",
-        help="wall-time each dynamic chunk aims for (default: 250)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache probe measurements by content hash (resumable)",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse cached results (--no-resume re-measures)",
-    )
-    parser.add_argument(
-        "--store-format",
-        choices=("jsonl", "sharded"),
-        default="sharded",
-        help="cache layout (default: sharded)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries before a probe job is quarantined",
-    )
-    parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per probe job",
-    )
+    add_engine_arguments(parser)
     parser.add_argument(
         "--progress", action="store_true", help="print campaign progress"
     )
@@ -201,16 +162,8 @@ def _characterize(args, machine):
         machine,
         opcodes=opcodes,
         options=options,
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        chunk_policy=args.chunk_policy,
-        chunk_target_ms=args.chunk_target_ms,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        store_format=args.store_format,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
         progress=print if args.progress else None,
+        **engine_kwargs(args),
     )
 
 

@@ -83,18 +83,12 @@ def run_characterization(
     *,
     opcodes: tuple[str, ...] | None = None,
     options: LauncherOptions | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
-    cache_dir: str | None = None,
-    resume: bool = True,
-    store_format: str = "sharded",
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    progress=None,
+    **engine,
 ) -> CharacterizationResult:
     """Probe ``machine`` and solve the measurements into a table.
+
+    ``engine`` is passed to :func:`~repro.engine.run_campaign` as is
+    (``jobs``, ``cache_dir``, ``progress``, ...).
 
     Raises
     ------
@@ -106,19 +100,7 @@ def run_characterization(
     if options is None:
         options = characterization_options()
     campaign = characterization_campaign(machine, opcodes=opcodes, options=options)
-    run = run_campaign(
-        campaign,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-        chunk_target_ms=chunk_target_ms,
-        cache_dir=cache_dir,
-        resume=resume,
-        store_format=store_format,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        progress=progress,
-    )
+    run = run_campaign(campaign, **engine)
     if run.failures:
         failed = ", ".join(f.kernel for f in run.failures)
         raise ValueError(

@@ -14,6 +14,10 @@ first files appear before the full expansion finishes.  ``--measure``
 runs every generated variant through the campaign engine and writes a
 results file instead of assembly.
 
+The engine flags (``--jobs``, ``--chunk-size``, ``--cache-dir``,
+``--gen-cache``, ``--resume``, ``--max-retries``, ``--job-timeout``)
+only act with ``--measure``; they are shared with ``microlauncher``.
+
 ``--trace FILE`` and ``--metrics-out FILE`` turn on the observability
 layer: one span per pass of the pipeline (plus engine/launcher spans
 under ``--measure``) and a metrics snapshot, both readable by
@@ -26,6 +30,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.cli.engine_args import add_engine_arguments, engine_kwargs
 from repro.creator import CreatorOptions, MicroCreator
 from repro.spec import SpecParseError, parse_spec_file
 
@@ -124,77 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --measure --rciw-target: cap on experiments per "
         "configuration (default: 64)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --measure: worker processes (default: 1, inline)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="with --measure --jobs: jobs per worker batch (default: auto)",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        choices=("auto", "static", "dynamic"),
-        default="auto",
-        help="with --measure --jobs: chunk sizing ('dynamic' re-sizes "
-        "from measured per-job durations, 'static' uses fixed "
-        "--chunk-size batches); results are byte-identical either way",
-    )
-    parser.add_argument(
-        "--chunk-target-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="wall-time each dynamic chunk aims for (default: 250)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="with --measure: cache measurements by content hash",
-    )
-    parser.add_argument(
-        "--gen-cache",
-        metavar="DIR",
-        default=None,
-        help="with --measure: persist generated variants keyed by "
-        "(spec, options); a warm cache skips the generation pipeline",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="with --measure: reuse cached results (--no-resume re-measures)",
-    )
-    parser.add_argument(
-        "--store-format",
-        choices=("jsonl", "sharded"),
-        default="sharded",
-        help="with --measure: on-disk layout for --cache-dir/--gen-cache "
-        "(default: sharded; migrates a legacy JSONL cache on first open)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="with --measure: failed attempts a job may retry before it "
-        "is quarantined (default: 2); a degraded run exits 3",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --measure: wall-clock budget per job "
-        "(default: no timeout)",
-    )
+    add_engine_arguments(parser, gen_cache=True)
     parser.add_argument(
         "--format",
         dest="result_format",
@@ -347,20 +282,7 @@ def _measure(args, creator: MicroCreator, spec) -> int:
         machine=machine,
         sweeps=(sweep,),
     )
-    run = run_campaign(
-        campaign,
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        chunk_policy=args.chunk_policy,
-        chunk_target_ms=args.chunk_target_ms,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        progress=print,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        gen_cache_dir=args.gen_cache,
-        store_format=args.store_format,
-    )
+    run = run_campaign(campaign, progress=print, **engine_kwargs(args))
     results = args.results or f"results.{args.result_format}"
     if args.result_format == "jsonl":
         out = run.write_jsonl(results)

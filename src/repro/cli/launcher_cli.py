@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis import available_experiments, run_experiment
+from repro.cli.engine_args import add_engine_arguments, engine_kwargs
 from repro.launcher import LauncherOptions, MicroLauncher
 from repro.machine import PRESETS, preset
 
@@ -136,83 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--csv-full", action="store_true", help="one CSV row per experiment"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for campaign execution (default: 1, inline)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="jobs per worker batch with --jobs (default: auto-sized); "
-        "results are byte-identical for every chunking",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        choices=("auto", "static", "dynamic"),
-        default="auto",
-        help="how worker chunks are sized with --jobs: 'dynamic' "
-        "(the 'auto' default) seeds small and re-sizes from measured "
-        "per-job durations to hit --chunk-target-ms per chunk; "
-        "'static' uses fixed --chunk-size batches; results are "
-        "byte-identical for every policy",
-    )
-    parser.add_argument(
-        "--chunk-target-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="wall-time each dynamic chunk aims for (default: 250)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache measurements by content hash; re-runs skip finished jobs",
-    )
-    parser.add_argument(
-        "--gen-cache",
-        metavar="DIR",
-        default=None,
-        help="persist generated variants for spec-backed sweeps "
-        "(e.g. --exhibit runs): repeated campaigns skip the generation "
-        "pipeline entirely",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse cached results (--no-resume re-measures everything)",
-    )
-    parser.add_argument(
-        "--store-format",
-        choices=("jsonl", "sharded"),
-        default="sharded",
-        help="on-disk layout for --cache-dir/--gen-cache: 'sharded' "
-        "(default) uses indexed fixed-size segments with columnar "
-        "sidecars and migrates a legacy JSONL cache on first open; "
-        "'jsonl' keeps the single-file layout",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="failed attempts a job may retry before it is quarantined "
-        "(default: 2); a quarantined job drops its rows and exits 3",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per job; a chunk past its budget is "
-        "killed and its jobs retried (default: no timeout)",
-    )
+    add_engine_arguments(parser, gen_cache=True)
     parser.add_argument(
         "--output",
         choices=("csv", "jsonl"),
@@ -280,20 +205,7 @@ def _run_engine(args, machine, options, path: Path) -> int:
         machine=machine,
         sweeps=(SweepSpec(kernels=(path,), base=options, mode=mode),),
     )
-    run = run_campaign(
-        campaign,
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        chunk_policy=args.chunk_policy,
-        chunk_target_ms=args.chunk_target_ms,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        progress=print,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        gen_cache_dir=args.gen_cache,
-        store_format=args.store_format,
-    )
+    run = run_campaign(campaign, progress=print, **engine_kwargs(args))
     ms = run.measurements()
     if not ms:
         pass  # every job quarantined: the failure report below says why
@@ -384,16 +296,7 @@ def _observed_main(args) -> int:
             result = run_experiment(
                 args.exhibit,
                 quick=args.quick,
-                jobs=args.jobs,
-                chunk_size=args.chunk_size,
-                chunk_policy=args.chunk_policy,
-                chunk_target_ms=args.chunk_target_ms,
-                cache_dir=args.cache_dir,
-                resume=args.resume,
-                max_retries=args.max_retries,
-                job_timeout=args.job_timeout,
-                gen_cache_dir=args.gen_cache,
-                store_format=args.store_format,
+                engine=engine_kwargs(args),
                 rciw_target=args.rciw_target,
                 max_experiments=args.max_experiments,
             )

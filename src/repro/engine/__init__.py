@@ -20,7 +20,7 @@ This package turns that workflow into a first-class pipeline:
 - :mod:`repro.engine.runner` -- a fault-tolerant scheduler over the
   persistent worker pool (``jobs=1`` runs inline) whose per-job derived
   noise seeds make results bit-identical regardless of worker count,
-  chunk policy, or scheduling order; failing jobs are retried with
+  chunking, or scheduling order; failing jobs are retried with
   backoff, hung chunks time out, crashed workers' jobs are
   re-dispatched, and a persistently bad job is quarantined into
   :class:`JobFailure` entries instead of killing the run,
@@ -72,12 +72,10 @@ from repro.engine.pool import (
     shutdown_worker_pool,
 )
 from repro.engine.runner import (
-    CHUNK_POLICIES,
     CampaignRun,
     JobFailure,
     JobTimeout,
     RunStats,
-    resolve_chunk_policy,
     run_campaign,
 )
 from repro.engine.transport import pack_chunk, unpack_chunk
@@ -97,7 +95,6 @@ from repro.engine.store import (
 )
 
 __all__ = [
-    "CHUNK_POLICIES",
     "CachedVariant",
     "Campaign",
     "CampaignRun",
@@ -132,7 +129,6 @@ __all__ = [
     "options_digest",
     "options_to_dict",
     "pack_chunk",
-    "resolve_chunk_policy",
     "run_campaign",
     "shutdown_worker_pool",
     "spec_digest",

@@ -6,21 +6,20 @@ persistent worker runtime of :mod:`repro.engine.pool` otherwise — and
 assembles results in campaign order.  Determinism is structural, not
 scheduled: each job's noise seed derives from its content hash (see
 :meth:`Job.execution_options`), and rows are ordered by job index, so
-worker count, chunking policy, and completion order cannot change a
-single output byte.
+worker count, chunking, and completion order cannot change a single
+output byte.
 
 Parallel jobs ship to workers in *chunks*: one launcher and one packed
 result frame (:mod:`repro.engine.transport`) per chunk instead of per
 job, with a per-worker memo so option sweeps over one kernel normalize
 and model it once.  Workers outlive the campaign — consecutive
 ``run_campaign`` calls reuse the same pool, so those memos stay warm
-across campaigns.  Chunk sizing is policy-driven (``chunk_policy``):
-``"static"`` slices fixed batches as before, while ``"dynamic"`` (the
-default when no explicit ``chunk_size`` is given) seeds small chunks
-and then sizes each next chunk from an EWMA of observed per-job
-durations per spec family, targeting ``chunk_target_ms`` of wall time —
+across campaigns.  Each spec family's first chunks are small; every
+later chunk is sized from an EWMA of observed per-job durations for its
+family, targeting ``DEFAULT_CHUNK_TARGET_MS`` of wall time, so
 adaptive-stopping campaigns whose per-job cost varies >10x keep every
-worker busy to the tail instead of straggling on static batches.
+worker busy to the tail instead of straggling on fixed batches.  An
+explicit ``chunk_size`` caps every chunk, seed chunks included.
 
 The scheduler is fault-tolerant: a raising job is retried with
 exponential backoff up to ``max_retries`` times, a chunk that exceeds
@@ -44,11 +43,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 import time
 from collections import defaultdict, deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -80,29 +77,9 @@ from repro.machine.config import MachineConfig
 #: measurement) is pure in its text and lowering size, so a chunk that
 #: sweeps options over one kernel evaluates the model once.  Workers now
 #: outlive a single campaign, so the memo is LRU (a hit re-inserts at
-#: the tail) and its capacity is tunable via ``REPRO_SIM_MEMO_MAX``.
+#: the tail) and holds at most ``_SIM_MEMO_MAX`` kernels.
 _SIM_MEMO: dict[tuple[str, int], object] = {}
 _SIM_MEMO_MAX = 512
-
-
-def _memo_capacity(env_var: str, default: int) -> int:
-    """An eviction capacity, overridable by environment (min 1).
-
-    Read per insertion rather than at import so long-lived worker
-    processes (and tests) see changes without a re-exec; insertions only
-    happen on memo misses, so the lookup never shows up in a profile.
-    """
-    raw = os.environ.get(env_var)
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-#: Chunk-size ceiling: keeps result recording (and cache writes) granular
-#: enough to survive interruption without losing much work.
-_MAX_AUTO_CHUNK = 32
 
 #: How often the dispatcher wakes to check deadlines and refill workers.
 _POLL_SECONDS = 0.05
@@ -115,25 +92,21 @@ _CHUNK_TIMEOUT_SLACK = 0.25
 #: the pool is declared unusable and the run falls back inline.
 _MAX_POOL_BREAKS_BEFORE_INLINE = 3
 
-#: Recognized ``chunk_policy`` values: ``auto`` resolves to ``static``
-#: when an explicit ``chunk_size`` is given, else ``dynamic``.
-CHUNK_POLICIES = ("auto", "static", "dynamic")
-
-#: Dynamic chunking: wall-clock a chunk should occupy a worker for.
+#: Chunking: wall-clock a chunk should occupy a worker for.
 #: Large enough to amortize the queue round-trip, small enough that the
 #: tail of a campaign rebalances across workers.
 DEFAULT_CHUNK_TARGET_MS = 250.0
 
-#: Dynamic chunking: jobs per chunk before any duration has been
+#: Chunking: jobs per chunk before any duration has been
 #: observed for a spec family.  Deliberately small — the first chunks
 #: exist to calibrate the EWMA, not to saturate.
 _SEED_CHUNK_SIZE = 4
 
-#: Dynamic chunking: EWMA weight of the newest chunk's mean duration.
+#: Chunking: EWMA weight of the newest chunk's mean duration.
 _EWMA_ALPHA = 0.4
 
-#: Dynamic chunking: hard ceiling on jobs per chunk, so result recording
-#: (and crash-consistent cache flushes) stay granular.
+#: Chunking: hard ceiling on jobs per chunk, so result recording (and
+#: crash-consistent cache flushes) stay granular.
 _DYNAMIC_MAX_CHUNK = 256
 
 
@@ -159,8 +132,7 @@ def _sim_kernel_for(job: Job) -> object:
         if isinstance(kernel, KernelRef):
             kernel = resolve_kernel_ref(kernel)
         sim = as_sim_kernel(kernel, trip_count=job.options.trip_count)
-        capacity = _memo_capacity("REPRO_SIM_MEMO_MAX", _SIM_MEMO_MAX)
-        while len(_SIM_MEMO) >= capacity:
+        while len(_SIM_MEMO) >= _SIM_MEMO_MAX:
             # Evict the least-recently-used entry (hits re-insert at the
             # tail): a full wipe mid-sweep would throw away every kernel
             # the current chunk is still using.
@@ -214,26 +186,6 @@ def _execute_chunk(
     ]
 
 
-def _execute_job(machine: MachineConfig, job: Job) -> tuple[str, list[dict]]:
-    """Run one job against a fresh launcher (a chunk of one)."""
-    return _execute_chunk(machine, [job])[0]
-
-
-def resolve_chunk_size(chunk_size: int | None, n_jobs: int, workers: int) -> int:
-    """Jobs per worker batch; ``None`` auto-sizes for load balance.
-
-    The auto rule targets a few chunks per worker (so a slow chunk does
-    not straggle the pool) while capping the batch so cache writes stay
-    granular.
-    """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        return chunk_size
-    per_worker_share = -(-n_jobs // (max(1, workers) * 4))
-    return max(1, min(_MAX_AUTO_CHUNK, per_worker_share))
-
-
 class JobTimeout(RuntimeError):
     """A job (or the chunk carrying it) exceeded its time budget."""
 
@@ -261,8 +213,6 @@ class JobFailure:
 def _failure_reason(exc: BaseException) -> str:
     if isinstance(exc, JobTimeout):
         return "timeout"
-    if isinstance(exc, BrokenProcessPool):
-        return "worker-crash"
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -303,9 +253,8 @@ class RunStats:
     executed: int = 0
     cache_hits: int = 0
     workers: int = 1
+    #: Jobs in each spec family's first pooled chunk.
     chunk_size: int = 1
-    #: Resolved chunk-sizing policy: ``static`` or ``dynamic``.
-    chunk_policy: str = "static"
     fell_back_inline: bool = False
     #: Re-dispatches of a single job after a failed attempt.
     retries: int = 0
@@ -458,62 +407,30 @@ def _gen_group(job: Job) -> tuple[str, str] | None:
     return kernel.memo_key() if isinstance(kernel, KernelRef) else None
 
 
-def _chunked_units(pending: list[Job], chunk_size: int) -> list[_Unit]:
-    """Slice pending jobs into dispatch units, never spanning two specs.
-
-    Deferred jobs regenerate their spec's expansion worker-side, so a
-    chunk mixing two specs would force one worker to run two pipelines.
-    Grouping consecutive jobs by expansion key before slicing keeps each
-    chunk inside one spec; campaign expansion order already keeps a
-    sweep's jobs contiguous.  Results are unaffected — chunk boundaries
-    never change a job's identity or seed.
-    """
-    return [
-        _Unit(batch[i : i + chunk_size])
-        for _key, group in itertools.groupby(pending, key=_gen_group)
-        for batch in (list(group),)
-        for i in range(0, len(batch), chunk_size)
-    ]
-
-
-def resolve_chunk_policy(chunk_policy: str, chunk_size: int | None) -> str:
-    """Resolve ``auto`` to a concrete policy and validate the rest."""
-    if chunk_policy not in CHUNK_POLICIES:
-        raise ValueError(
-            f"chunk_policy must be one of {CHUNK_POLICIES}, got {chunk_policy!r}"
-        )
-    if chunk_policy == "auto":
-        return "static" if chunk_size is not None else "dynamic"
-    return chunk_policy
-
-
 class _ChunkPlanner:
     """Carves pending jobs into dispatch units, sized by observed cost.
 
-    Chunks never span two spec families (same rule as
-    :func:`_chunked_units` — a deferred chunk regenerates its spec
-    worker-side, and mixing two specs would run two pipelines in one
-    worker).  Under the ``static`` policy every chunk is
-    ``chunk_size`` jobs, reproducing the pre-planner slicing exactly.
-    Under ``dynamic``, the first chunks of each family are
+    Chunks never span two spec families: a deferred chunk regenerates
+    its spec worker-side, and mixing two specs would run two pipelines
+    in one worker; campaign expansion order already keeps a sweep's jobs
+    contiguous.  The first chunks of each family are
     ``_SEED_CHUNK_SIZE`` jobs; once per-job durations flow back from the
     workers, each next chunk is sized so it should occupy a worker for
     ``target_ms`` — an EWMA per family, falling back to a campaign-wide
-    EWMA for families not yet seen.  Sizing only changes how many jobs
-    share a launcher; job identity, seeds, and output bytes are
-    untouched.
+    EWMA for families not yet seen.  ``cap`` (an explicit
+    ``chunk_size``) bounds every chunk, seed chunks included.  Sizing
+    only changes how many jobs share a launcher; job identity, seeds,
+    and output bytes are untouched.
     """
 
     def __init__(
         self,
         pending: list[Job],
         *,
-        policy: str,
-        chunk_size: int,
-        target_ms: float,
+        cap: int | None,
+        target_ms: float = DEFAULT_CHUNK_TARGET_MS,
     ) -> None:
-        self.policy = policy
-        self.chunk_size = chunk_size
+        self.cap = _DYNAMIC_MAX_CHUNK if cap is None else min(cap, _DYNAMIC_MAX_CHUNK)
         self.target_ms = target_ms
         self._ewma: dict[object, float] = {}
         self._overall: float | None = None
@@ -537,17 +454,15 @@ class _ChunkPlanner:
         return _Unit(jobs)
 
     def _size_for(self, key: object) -> int:
-        if self.policy == "static":
-            return self.chunk_size
         per_job_ms = self._ewma.get(key, self._overall)
         if per_job_ms is None:
-            return _SEED_CHUNK_SIZE
+            return min(_SEED_CHUNK_SIZE, self.cap)
         per_job_ms = max(per_job_ms, 1e-3)
-        return max(1, min(_DYNAMIC_MAX_CHUNK, int(self.target_ms / per_job_ms)))
+        return max(1, min(self.cap, int(self.target_ms / per_job_ms)))
 
     def observe(self, key: object, durations_ms: list[float]) -> None:
         """Fold one completed chunk's per-job durations into the EWMA."""
-        if self.policy != "dynamic" or not durations_ms:
+        if not durations_ms:
             return
         mean = sum(durations_ms) / len(durations_ms)
         previous = self._ewma.get(key)
@@ -563,23 +478,6 @@ class _ChunkPlanner:
         )
 
 
-class _PoolUnusable(Exception):
-    """The process pool cannot be made to work; run inline instead."""
-
-
-def _shutdown_pool(pool, *, kill: bool = False) -> None:
-    """Tear down a pool, forcibly if its workers may be hung."""
-    if not kill:
-        pool.shutdown(wait=True, cancel_futures=True)
-        return
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already-dead worker
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def _parallel_execute(
     campaign: Campaign,
     pending: list[Job],
@@ -590,7 +488,7 @@ def _parallel_execute(
     max_retries: int,
     job_timeout: float | None,
     retry_backoff: float,
-    chunk_target_ms: float,
+    chunk_size: int | None,
     record_batch: Callable[[list[tuple[Job, list[dict]]]], list[bool]],
     quarantine: Callable[[Job, str], None],
     say: Callable[[str], None],
@@ -618,15 +516,10 @@ def _parallel_execute(
     #: Retry/split re-dispatches; fresh chunks are carved on demand so
     #: dynamic sizing uses the newest duration estimates.
     work: deque[_Unit] = deque()
-    planner = _ChunkPlanner(
-        pending,
-        policy=stats.chunk_policy,
-        chunk_size=stats.chunk_size,
-        target_ms=chunk_target_ms,
-    )
+    planner = _ChunkPlanner(pending, cap=chunk_size)
     say(
         f"{campaign.name}: dispatching {len(pending)} jobs to "
-        f"{stats.workers} persistent workers ({stats.chunk_policy} chunks)"
+        f"{stats.workers} persistent workers"
     )
 
     def fail_unit(unit: _Unit, reason: str) -> None:
@@ -662,17 +555,11 @@ def _parallel_execute(
         in_flight.clear()
 
     def rebuild(reason: str) -> None:
-        try:
-            pool.rebuild()
-        except PoolUnusable as exc:
-            raise _PoolUnusable from exc
+        pool.rebuild()
         say(f"{campaign.name}: {reason}")
 
     try:
-        try:
-            pool = get_worker_pool(stats.workers)
-        except PoolUnusable as exc:
-            raise _PoolUnusable from exc
+        pool = get_worker_pool(stats.workers)
         while work or in_flight or not planner.exhausted():
             # Submit ready units up to worker capacity.  Backed-off
             # units are set aside in one pass (no per-unit rotation);
@@ -699,7 +586,7 @@ def _parallel_execute(
                     )
                 except (OSError, PermissionError) as exc:
                     work.appendleft(unit)
-                    raise _PoolUnusable from exc
+                    raise PoolUnusable from exc
                 except Exception as exc:  # unpicklable chunk: charge it
                     fail_unit(unit, _failure_reason(exc))
                     continue
@@ -781,7 +668,7 @@ def _parallel_execute(
                     consecutive_breaks >= _MAX_POOL_BREAKS_BEFORE_INLINE
                     and not ever_succeeded
                 ):
-                    raise _PoolUnusable
+                    raise PoolUnusable
                 for worker_id in dead:
                     # The parent assigned the task, so blame needs no
                     # worker cooperation: a dead worker's task is
@@ -831,7 +718,7 @@ def _parallel_execute(
                         f"chunk exceeded its {job_timeout:.3g}s/job "
                         "budget; rebuilding the pool"
                     )
-    except _PoolUnusable:
+    except PoolUnusable:
         shutdown_worker_pool()
         return [job for job in pending if job.job_id not in handled]
     return None
@@ -895,8 +782,6 @@ def run_campaign(
     *,
     jobs: int = 1,
     chunk_size: int | None = None,
-    chunk_policy: str = "auto",
-    chunk_target_ms: float | None = None,
     cache_dir: str | Path | None = None,
     cache: "ResultCache | ShardedResultCache | None" = None,
     resume: bool = True,
@@ -907,8 +792,6 @@ def run_campaign(
     faults: FaultPlan | None = None,
     gen_cache_dir: str | Path | None = None,
     gen_cache: "GenerationCache | ShardedGenerationCache | None" = None,
-    generation: str = "auto",
-    store_format: str = "sharded",
 ) -> CampaignRun:
     """Execute a campaign and return its ordered results.
 
@@ -916,30 +799,26 @@ def run_campaign(
     ----------
     jobs:
         Worker processes; ``1`` runs every job inline in this process.
-        If the pool cannot start (restricted environments), the run
-        falls back inline — results are identical either way.
+        With a pool, spec-derived kernels travel as :class:`KernelRef`
+        descriptions and are regenerated in the measuring process;
+        inline runs use the kernels rendered at expansion, which
+        already ran the pass pipeline once.  If the pool cannot start
+        (restricted environments), the run falls back inline — results
+        are identical either way.
     chunk_size:
-        Jobs shipped to a worker per submission (amortizes pickling and
-        launcher setup); ``None`` auto-sizes.  Output rows are
+        Cap on the jobs shipped to a worker per submission.  Chunks
+        start at ``min(4, chunk_size)`` jobs per spec family, then grow
+        or shrink toward ``DEFAULT_CHUNK_TARGET_MS`` of wall time each
+        from an EWMA of observed per-job durations, never past the cap;
+        ``None`` leaves only the planner's own ceiling.  Output rows are
         byte-identical for every chunking.
-    chunk_policy:
-        How chunks are sized: ``"static"`` slices fixed batches of
-        ``chunk_size`` jobs (auto-sized when ``chunk_size`` is
-        ``None``); ``"dynamic"`` seeds small chunks and then targets
-        ``chunk_target_ms`` of wall time per chunk from an EWMA of
-        observed per-job durations per spec family — straggler-resistant
-        when per-job cost varies (adaptive stopping).  ``"auto"`` (the
-        default) picks ``static`` when an explicit ``chunk_size`` is
-        given, else ``dynamic``.  Output bytes are identical under
-        every policy.
-    chunk_target_ms:
-        Dynamic chunking's wall-time target per chunk (default
-        ``DEFAULT_CHUNK_TARGET_MS``); ignored under ``static``.
     cache_dir / cache:
         Reuse measurements across runs: jobs whose ID is already stored
-        are not executed.  ``cache`` takes precedence over ``cache_dir``.
-        A cached payload that fails validation is re-measured, never
-        returned.
+        are not executed.  ``cache_dir`` opens the sharded store of
+        :mod:`repro.engine.store`, migrating a legacy JSONL cache the
+        first time; ``cache`` (any result cache object, used as-is)
+        takes precedence.  A cached payload that fails validation is
+        re-measured, never returned.
     resume:
         When ``False``, stored results are ignored (every job executes)
         but completions are still recorded — a forced re-measure.
@@ -962,46 +841,25 @@ def run_campaign(
         Persist spec expansions across runs (see
         :mod:`repro.engine.gencache`): a warm cache expands the campaign
         without running the pass pipeline.  ``gen_cache`` takes
-        precedence over ``gen_cache_dir``.
-    generation:
-        Where spec-derived kernels are rendered.  ``"worker"`` ships
-        :class:`KernelRef` descriptions and regenerates in the measuring
-        process; ``"parent"`` ships rendered kernels (the pre-deferral
-        behavior); ``"auto"`` defers exactly when a pool is in play
-        (``jobs > 1``).  Job IDs, seeds, and output bytes are identical
-        in every mode.
-    store_format:
-        On-disk layout for ``cache_dir`` / ``gen_cache_dir``:
-        ``"sharded"`` (the default) opens the indexed segment store of
-        :mod:`repro.engine.store`, transparently migrating a legacy
-        JSONL cache the first time; ``"jsonl"`` keeps the single-file
-        layout.  Output bytes are identical either way; explicitly
-        passed ``cache`` / ``gen_cache`` objects are used as-is.
+        precedence over ``gen_cache_dir``, which opens the sharded
+        store like ``cache_dir``.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     if job_timeout is not None and job_timeout <= 0:
         raise ValueError("job_timeout must be positive")
-    resolved_policy = resolve_chunk_policy(chunk_policy, chunk_size)
-    if chunk_target_ms is None:
-        chunk_target_ms = DEFAULT_CHUNK_TARGET_MS
-    elif chunk_target_ms <= 0:
-        raise ValueError("chunk_target_ms must be positive")
-    if generation not in ("auto", "parent", "worker"):
-        raise ValueError(
-            f"generation must be 'auto', 'parent' or 'worker', got {generation!r}"
-        )
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     if cache is None and cache_dir is not None:
-        cache = open_result_cache(cache_dir, store_format)
+        cache = open_result_cache(cache_dir)
     if gen_cache is None and gen_cache_dir is not None:
-        gen_cache = open_generation_cache(gen_cache_dir, store_format)
-    defer = generation == "worker" or (generation == "auto" and jobs > 1)
+        gen_cache = open_generation_cache(gen_cache_dir)
 
     with obs.span(
         "engine.campaign", campaign=campaign.name, workers=max(1, jobs)
     ) as campaign_span:
         with obs.span("engine.expand"):
-            job_list = campaign.job_list(gen_cache=gen_cache, defer=defer)
+            job_list = campaign.job_list(gen_cache=gen_cache, defer=jobs > 1)
         campaign_span.set(jobs=len(job_list))
         say = progress or (lambda message: None)
         stats = RunStats(total_jobs=len(job_list), workers=max(1, jobs))
@@ -1116,20 +974,14 @@ def run_campaign(
                 f"{reason}"
             )
 
-        stats.chunk_policy = resolved_policy
         if pending and stats.workers > 1:
-            stats.chunk_size = (
-                resolve_chunk_size(chunk_size, len(pending), stats.workers)
-                if resolved_policy == "static"
-                else _SEED_CHUNK_SIZE
-            )
+            stats.chunk_size = min(_SEED_CHUNK_SIZE, chunk_size or _SEED_CHUNK_SIZE)
             with obs.span(
                 "engine.dispatch",
                 mode="pool",
                 jobs=len(pending),
                 workers=stats.workers,
                 chunk_size=stats.chunk_size,
-                chunk_policy=stats.chunk_policy,
             ):
                 leftover = _parallel_execute(
                     campaign,
@@ -1140,7 +992,7 @@ def run_campaign(
                     max_retries=max_retries,
                     job_timeout=job_timeout,
                     retry_backoff=retry_backoff,
-                    chunk_target_ms=chunk_target_ms,
+                    chunk_size=chunk_size,
                     record_batch=record_batch,
                     quarantine=quarantine,
                     say=say,

@@ -1192,9 +1192,6 @@ class ShardedGenerationCache:
 
 # -- factories + migration ---------------------------------------------
 
-STORE_FORMATS = ("jsonl", "sharded")
-
-
 def _migrate(legacy_cache, target_store: ShardedStore, what: str) -> None:
     """One-time move of a legacy JSONL cache into a sharded store.
 
@@ -1214,21 +1211,12 @@ def _migrate(legacy_cache, target_store: ShardedStore, what: str) -> None:
     obs.count("store.migrate")
 
 
-def open_result_cache(
-    directory: str | Path, store_format: str = "sharded"
-) -> ResultCache | ShardedResultCache:
-    """A result cache over ``directory`` in the requested format.
+def open_result_cache(directory: str | Path) -> ShardedResultCache:
+    """The sharded result cache over ``directory``.
 
-    ``"sharded"`` (the default) transparently migrates a pre-existing
-    ``results.jsonl`` the first time the directory is opened sharded.
+    A pre-existing legacy ``results.jsonl`` is migrated transparently
+    the first time the directory is opened.
     """
-    if store_format == "jsonl":
-        return ResultCache(directory)
-    if store_format != "sharded":
-        raise ValueError(
-            f"unknown store format {store_format!r}; "
-            f"expected one of {STORE_FORMATS}"
-        )
     directory = Path(directory)
     legacy_path = directory / ResultCache.FILENAME
     fresh = not (directory / ShardedResultCache.DIRNAME).exists()
@@ -1238,17 +1226,12 @@ def open_result_cache(
     return cache
 
 
-def open_generation_cache(
-    directory: str | Path, store_format: str = "sharded"
-) -> GenerationCache | ShardedGenerationCache:
-    """A generation cache over ``directory`` in the requested format."""
-    if store_format == "jsonl":
-        return GenerationCache(directory)
-    if store_format != "sharded":
-        raise ValueError(
-            f"unknown store format {store_format!r}; "
-            f"expected one of {STORE_FORMATS}"
-        )
+def open_generation_cache(directory: str | Path) -> ShardedGenerationCache:
+    """The sharded generation cache over ``directory``.
+
+    A pre-existing legacy ``gencache.jsonl`` is migrated transparently
+    the first time the directory is opened.
+    """
     directory = Path(directory)
     legacy_path = directory / GenerationCache.FILENAME
     fresh = not (directory / ShardedGenerationCache.DIRNAME).exists()

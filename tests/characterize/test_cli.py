@@ -160,3 +160,35 @@ class TestMachineOverlayFlags:
         )
         assert rc == 0
         assert (tmp_path / "r.csv").exists()
+
+
+class TestEngineFlags:
+    def test_run_reruns_from_cache(self, tmp_path, capsys):
+        tables = []
+        for i in range(2):
+            table = tmp_path / f"t{i}.json"
+            args = [
+                "run", "--opcodes", SUBSET,
+                "--jobs", "2", "--chunk-size", "2", "--max-retries", "1",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--table", str(table),
+            ]
+            assert main(args) == 0
+            tables.append(table.read_bytes())
+        assert "(0 jobs executed, " in capsys.readouterr().out
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize(
+        "flag",
+        (
+            ("--chunk-policy", "static"),
+            ("--chunk-target-ms", "100"),
+            ("--store-format", "jsonl"),
+            ("--gen-cache", "g"),
+        ),
+    )
+    def test_unbound_engine_flags_are_usage_errors(self, flag, capsys):
+        # The three deleted knobs, and --gen-cache (launcher/creator only).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--opcodes", "add", *flag])
+        assert exit_info.value.code == 2

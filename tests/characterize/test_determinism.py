@@ -2,7 +2,8 @@
 
 The acceptance bar from the ISSUE: same seed -> byte-identical
 instruction table across ``--jobs`` values, across a kill/resume, and on
-both store backends.  All of it falls out of the engine's per-job
+both store backends (the sharded store behind ``cache_dir``, and a JSONL
+cache passed as an explicit ``cache=`` object).  All of it falls out of the engine's per-job
 derived noise seeds plus the table's canonical JSON — asserted here on a
 class-covering opcode subset to keep the matrix fast.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from repro.characterize import run_characterization
 from repro.characterize.driver import characterization_campaign
-from repro.engine import FaultPlan, run_campaign
+from repro.engine import FaultPlan, ResultCache, run_campaign
 from repro.machine import nehalem_2s_x5650
 
 #: Every register class, both probe shapes, all three port classes.
@@ -22,6 +23,13 @@ OPCODES = ("add", "addps", "mulps", "mov", "imul", "cmp", "inc", "xorps", "movl"
 
 def _characterize(**kwargs):
     return run_characterization(nehalem_2s_x5650(), opcodes=OPCODES, **kwargs)
+
+
+def _store(fmt: str, directory) -> dict:
+    """A fresh JSONL cache object, or ``cache_dir`` (the sharded store)."""
+    if fmt == "jsonl":
+        return {"cache": ResultCache(directory)}
+    return {"cache_dir": directory}
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +47,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("fmt", ("jsonl", "sharded"))
     def test_byte_identical_across_backends(self, reference, tmp_path, fmt):
-        cold = _characterize(cache_dir=tmp_path / "cache", store_format=fmt)
+        cold = _characterize(**_store(fmt, tmp_path / "cache"))
         assert cold.table.to_json().encode() == reference
-        warm = _characterize(cache_dir=tmp_path / "cache", store_format=fmt)
+        warm = _characterize(**_store(fmt, tmp_path / "cache"))
         assert warm.run.stats.executed == 0
         assert warm.table.to_json().encode() == reference
 
@@ -58,11 +66,10 @@ class TestDeterminism:
             faults=FaultPlan.for_job(victim.job_id, "raise"),
             max_retries=0,
             retry_backoff=0.0,
-            cache_dir=tmp_path / "cache",
-            store_format=fmt,
+            **_store(fmt, tmp_path / "cache"),
         )
         assert [f.job_id for f in killed.failures] == [victim.job_id]
-        resumed = _characterize(cache_dir=tmp_path / "cache", store_format=fmt)
+        resumed = _characterize(**_store(fmt, tmp_path / "cache"))
         assert resumed.run.stats.executed == 1  # only the killed job re-ran
         assert resumed.table.to_json().encode() == reference
 

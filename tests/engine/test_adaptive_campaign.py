@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
+from repro.engine import Campaign, FaultPlan, ResultCache, SweepSpec, run_campaign
 from repro.launcher import LauncherOptions
 from repro.launcher.csvout import QUALITY_COLUMNS, read_csv
 
@@ -53,6 +53,13 @@ def clean(tmp_path_factory):
     }
 
 
+def _store(fmt: str, directory) -> dict:
+    """A fresh JSONL cache object, or ``cache_dir`` (the sharded store)."""
+    if fmt == "jsonl":
+        return {"cache": ResultCache(directory)}
+    return {"cache_dir": directory}
+
+
 class TestAdaptiveDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
     @pytest.mark.parametrize("chunk_size", (1, 3, None))
@@ -84,13 +91,10 @@ class TestAdaptiveDeterminism:
             faults=FaultPlan.for_job(victim.job_id, "raise"),
             max_retries=0,
             retry_backoff=0.0,
-            cache_dir=tmp_path / "cache",
-            store_format=fmt,
+            **_store(fmt, tmp_path / "cache"),
         )
         assert [f.job_id for f in killed.failures] == [victim.job_id]
-        resumed = run_campaign(
-            _campaign(), cache_dir=tmp_path / "cache", store_format=fmt
-        )
+        resumed = run_campaign(_campaign(), **_store(fmt, tmp_path / "cache"))
         assert not resumed.failures
         assert resumed.stats.executed == 1  # only the killed job re-runs
         assert (
@@ -106,15 +110,8 @@ class TestAdaptiveDeterminism:
         for fmt in ("jsonl", "sharded"):
             d = tmp_path / fmt
             d.mkdir()
-            cold = run_campaign(
-                _campaign(),
-                jobs=2,
-                cache_dir=d / "cache",
-                store_format=fmt,
-            )
-            warm = run_campaign(
-                _campaign(), cache_dir=d / "cache", store_format=fmt
-            )
+            cold = run_campaign(_campaign(), jobs=2, **_store(fmt, d / "cache"))
+            warm = run_campaign(_campaign(), **_store(fmt, d / "cache"))
             assert warm.stats.executed == 0, fmt
             assert cold.write_csv(d / "cold.csv").read_bytes() == clean["csv"]
             assert warm.write_csv(d / "warm.csv").read_bytes() == clean["csv"]

@@ -1,8 +1,8 @@
 """Chunked dispatch: batching jobs per worker cannot change a byte.
 
 Determinism is structural (content-hash noise seeds, job-index row
-order), so any chunking — size 1, auto, or the whole campaign in one
-chunk — must write identical result files.  The per-worker kernel memo
+order), so any chunking — capped at 1, uncapped, or a cap larger than
+the campaign — must write identical result files.  The per-worker kernel memo
 must likewise be invisible: an option sweep over one kernel normalizes
 it once but measures exactly the same values.
 """
@@ -10,12 +10,7 @@ it once but measures exactly the same values.
 import pytest
 
 from repro.engine import Campaign, SweepSpec, run_campaign
-from repro.engine.runner import (
-    _MAX_AUTO_CHUNK,
-    _execute_chunk,
-    _execute_job,
-    resolve_chunk_size,
-)
+from repro.engine.runner import _execute_chunk
 from repro.launcher import LauncherOptions
 
 
@@ -35,39 +30,11 @@ def sweep_campaign():
     return Campaign(name="chunked", machine=nehalem_2s_x5650(), sweeps=(sweep,))
 
 
-class TestResolveChunkSize:
-    def test_explicit_size_wins(self):
-        assert resolve_chunk_size(5, n_jobs=1000, workers=4) == 5
-
-    def test_explicit_size_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_chunk_size(0, n_jobs=10, workers=2)
-
-    def test_auto_targets_a_few_chunks_per_worker(self):
-        assert resolve_chunk_size(None, n_jobs=64, workers=4) == 4
-
-    def test_auto_never_below_one(self):
-        assert resolve_chunk_size(None, n_jobs=1, workers=8) == 1
-
-    def test_auto_capped(self):
-        assert resolve_chunk_size(None, n_jobs=100_000, workers=2) == _MAX_AUTO_CHUNK
-
-    def test_empty_campaign_resolves_to_one(self):
-        assert resolve_chunk_size(None, n_jobs=0, workers=4) == 1
-
-    def test_more_workers_than_jobs(self):
-        assert resolve_chunk_size(None, n_jobs=3, workers=16) == 1
-
-    def test_explicit_size_may_exceed_job_count(self):
-        # One oversized chunk is legal: the dispatcher just sends one batch.
-        assert resolve_chunk_size(50, n_jobs=10, workers=2) == 50
-
-
 class TestChunkExecution:
     def test_chunk_equals_per_job_execution(self, sweep_campaign):
         jobs = sweep_campaign.job_list()[:6]
         chunked = _execute_chunk(sweep_campaign.machine, jobs)
-        single = [_execute_job(sweep_campaign.machine, job) for job in jobs]
+        single = [_execute_chunk(sweep_campaign.machine, [job])[0] for job in jobs]
         assert chunked == single
 
     def test_chunk_preserves_job_order(self, sweep_campaign):
@@ -185,11 +152,11 @@ class TestKernelMemo:
         finally:
             runner._SIM_MEMO.clear()
 
-    def test_memo_capacity_env_override(self, sweep_campaign, monkeypatch):
-        """``REPRO_SIM_MEMO_MAX`` bounds the memo, re-read per insert."""
+    def test_memo_capacity_bounds_inserts(self, sweep_campaign, monkeypatch):
+        """``_SIM_MEMO_MAX`` bounds the memo."""
         from repro.engine import runner
 
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "2")
+        monkeypatch.setattr(runner, "_SIM_MEMO_MAX", 2)
         jobs = sweep_campaign.job_list()[:6]
         runner._SIM_MEMO.clear()
         try:
@@ -199,34 +166,10 @@ class TestKernelMemo:
             runner._SIM_MEMO.clear()
 
 
-class TestMemoCapacityKnobs:
-    def test_default_when_unset(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.delenv("REPRO_SIM_MEMO_MAX", raising=False)
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 7
-
-    def test_env_value_wins(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "31")
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 31
-
-    def test_invalid_value_falls_back(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "many")
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 7
-
-    def test_floor_of_one(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "0")
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 1
-
-    def test_gen_memo_env_override_and_lru(self, monkeypatch):
-        """The generation memo honors ``REPRO_GEN_MEMO_MAX`` and keeps
-        recently hit expansions when it evicts."""
+class TestGenMemo:
+    def test_gen_memo_capacity_and_lru(self, monkeypatch):
+        """The generation memo holds ``_GEN_MEMO_MAX`` expansions and
+        keeps recently hit ones when it evicts."""
         from repro.engine import generation
         from repro.kernels import loadstore_family
         from repro.kernels.reduction import dot_product_spec
@@ -246,7 +189,7 @@ class TestMemoCapacityKnobs:
         refs = [j.kernel for j in campaign.job_list(defer=True)]
         ref_a = refs[0]
         ref_b = next(r for r in refs if r.memo_key() != ref_a.memo_key())
-        monkeypatch.setenv("REPRO_GEN_MEMO_MAX", "1")
+        monkeypatch.setattr(generation, "_GEN_MEMO_MAX", 1)
         generation._GEN_MEMO.clear()
         try:
             generation.resolve_kernel_ref(ref_a)

@@ -3,7 +3,7 @@
 Workers now outlive ``run_campaign``: the second campaign in a process
 reuses the first one's pool.  These tests pin the three contracts that
 makes safe: (1) a reused pool produces byte-identical output to a fresh
-one, for every chunk policy and store backend; (2) every fault-injection
+one, for every chunk cap and store backend; (2) every fault-injection
 behaviour (crash, hang, garbage, kill/resume) holds when the workers
 are warm; (3) the epoch token keeps messages from a killed generation
 out of the current one.
@@ -12,18 +12,18 @@ out of the current one.
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
 
 import pytest
 
 from repro import obs
-from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
+from repro.engine import Campaign, FaultPlan, ResultCache, SweepSpec, run_campaign
 from repro.engine.pool import WorkerPool, _Worker, get_worker_pool, shutdown_worker_pool
 from repro.engine.runner import (
     _DYNAMIC_MAX_CHUNK,
     _SEED_CHUNK_SIZE,
     _ChunkPlanner,
     _gen_group,
-    resolve_chunk_policy,
 )
 from repro.launcher import LauncherOptions
 
@@ -55,6 +55,23 @@ def serial_bytes(campaign, tmp_path_factory):
     )
 
 
+def _two_families() -> Campaign:
+    """Two spec-backed sweeps: two chunk families when deferred."""
+    from repro.kernels import loadstore_family
+    from repro.kernels.reduction import dot_product_spec
+    from repro.machine import nehalem_2s_x5650
+
+    base = LauncherOptions(array_bytes=8 * 1024, trip_count=512, experiments=2)
+    return Campaign(
+        name="two-families",
+        machine=nehalem_2s_x5650(),
+        sweeps=(
+            SweepSpec(spec=dot_product_spec(2, unroll=(1, 2)), base=base),
+            SweepSpec(spec=loadstore_family("movss", unroll=(1, 2)), base=base),
+        ),
+    )
+
+
 def _bytes(run, tmp_path, tag):
     return (
         run.write_csv(tmp_path / f"{tag}.csv").read_bytes(),
@@ -62,45 +79,10 @@ def _bytes(run, tmp_path, tag):
     )
 
 
-class TestChunkPolicyResolution:
-    def test_auto_is_dynamic_without_explicit_size(self):
-        assert resolve_chunk_policy("auto", None) == "dynamic"
-
-    def test_auto_is_static_with_explicit_size(self):
-        assert resolve_chunk_policy("auto", 8) == "static"
-
-    def test_explicit_policies_pass_through(self):
-        assert resolve_chunk_policy("static", None) == "static"
-        assert resolve_chunk_policy("dynamic", 8) == "dynamic"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="chunk_policy"):
-            resolve_chunk_policy("adaptive", None)
-
-    def test_run_records_policy(self, campaign):
-        assert run_campaign(campaign, jobs=1).stats.chunk_policy == "dynamic"
-        assert (
-            run_campaign(campaign, jobs=1, chunk_size=4).stats.chunk_policy
-            == "static"
-        )
-        assert (
-            run_campaign(
-                campaign, jobs=1, chunk_policy="dynamic", chunk_size=4
-            ).stats.chunk_policy
-            == "dynamic"
-        )
-
-    def test_invalid_target_rejected(self, campaign):
-        with pytest.raises(ValueError, match="chunk_target_ms"):
-            run_campaign(campaign, jobs=1, chunk_target_ms=0.0)
-
-
 class TestDynamicPlanner:
     def test_seeds_small_then_tracks_target(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=100.0
-        )
+        planner = _ChunkPlanner(jobs, cap=None, target_ms=100.0)
         first = planner.carve()
         assert len(first.jobs) == _SEED_CHUNK_SIZE
         # Fast jobs (2ms each): chunks should grow toward 100ms/2ms = 50.
@@ -110,48 +92,66 @@ class TestDynamicPlanner:
 
     def test_slow_jobs_shrink_chunks_to_one(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=100.0
-        )
+        planner = _ChunkPlanner(jobs, cap=None, target_ms=100.0)
         planner.observe(_gen_group(jobs[0]), [10_000.0])
         assert len(planner.carve().jobs) == 1
 
     def test_chunk_size_is_capped(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=1e9
-        )
+        planner = _ChunkPlanner(jobs, cap=None, target_ms=1e9)
         planner.observe(_gen_group(jobs[0]), [0.001])
         assert len(planner.carve().jobs) <= _DYNAMIC_MAX_CHUNK
 
-    def test_static_policy_carves_fixed_chunks(self, campaign):
+    @pytest.mark.parametrize("cap", (1, 3, 8))
+    def test_explicit_cap_bounds_seed_and_grown_chunks(self, campaign, cap):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs, policy="static", chunk_size=5, target_ms=250.0)
+        planner = _ChunkPlanner(jobs, cap=cap, target_ms=1e9)
+        assert len(planner.carve().jobs) == min(_SEED_CHUNK_SIZE, cap)
+        planner.observe(_gen_group(jobs[0]), [0.001])  # EWMA wants huge chunks
         sizes = []
         while not planner.exhausted():
             sizes.append(len(planner.carve().jobs))
-        assert sizes == [5, 5, 5, 1]
+        assert max(sizes) == cap
         assert planner.carve() is None
 
-    def test_chunks_never_span_spec_families(self):
-        from repro.kernels import loadstore_family
-        from repro.kernels.reduction import dot_product_spec
-        from repro.machine import nehalem_2s_x5650
+    @pytest.mark.parametrize("cap", (2, 8))
+    def test_each_family_seeds_at_min_of_seed_and_cap(self, cap):
+        jobs = _two_families().job_list(defer=True)
+        planner = _ChunkPlanner(jobs, cap=cap)
+        first: dict[object, int] = {}
+        while not planner.exhausted():
+            unit = planner.carve()
+            first.setdefault(_gen_group(unit.jobs[0]), len(unit.jobs))
+        family_sizes = Counter(_gen_group(j) for j in jobs)
+        assert len(first) == 2
+        for family, size in first.items():
+            assert size == min(_SEED_CHUNK_SIZE, cap, family_sizes[family])
 
-        base = LauncherOptions(array_bytes=8 * 1024, trip_count=512, experiments=2)
-        two_specs = Campaign(
-            name="two-families",
-            machine=nehalem_2s_x5650(),
-            sweeps=(
-                SweepSpec(spec=dot_product_spec(2, unroll=(1, 2)), base=base),
-                SweepSpec(spec=loadstore_family("movss", unroll=(1, 2)), base=base),
-            ),
+    @pytest.mark.parametrize("cap", (1, 3))
+    def test_no_dispatched_chunk_exceeds_the_cap(
+        self, campaign, serial_bytes, tmp_path, cap
+    ):
+        session = obs.enable()
+        try:
+            run = run_campaign(campaign, jobs=2, chunk_size=cap)
+            spans = session.tracer.records
+        finally:
+            obs.disable()
+        assert not run.stats.fell_back_inline
+        chunks = sorted(
+            (s for s in spans if s["name"] == "engine.chunk"),
+            key=lambda s: s["start_s"],
         )
-        jobs = two_specs.job_list(defer=True)
+        assert sum(s["attrs"]["jobs"] for s in chunks) == len(campaign.job_list())
+        assert max(s["attrs"]["jobs"] for s in chunks) <= cap
+        assert chunks[0]["attrs"]["jobs"] == min(_SEED_CHUNK_SIZE, cap)
+        assert run.stats.chunk_size == min(_SEED_CHUNK_SIZE, cap)
+        assert _bytes(run, tmp_path, f"cap{cap}") == serial_bytes
+
+    def test_chunks_never_span_spec_families(self):
+        jobs = _two_families().job_list(defer=True)
         assert len({_gen_group(j) for j in jobs}) == 2
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=1e9
-        )
+        planner = _ChunkPlanner(jobs, cap=None, target_ms=1e9)
         planner.observe(_gen_group(jobs[0]), [0.001])  # huge chunks allowed
         while not planner.exhausted():
             unit = planner.carve()
@@ -159,32 +159,33 @@ class TestDynamicPlanner:
 
 
 class TestPoolReuse:
-    @pytest.mark.parametrize("chunk_policy", ("static", "dynamic"))
-    @pytest.mark.parametrize("store_format", ("jsonl", "sharded"))
+    @pytest.mark.parametrize("chunk_size", (3, None), ids=("cap3", "uncapped"))
+    @pytest.mark.parametrize("backend", ("jsonl", "sharded"))
     def test_fresh_and_reused_pools_byte_identical(
-        self, campaign, serial_bytes, tmp_path, chunk_policy, store_format
+        self, campaign, serial_bytes, tmp_path, chunk_size, backend
     ):
-        kwargs = dict(
-            jobs=2,
-            chunk_policy=chunk_policy,
-            chunk_size=3 if chunk_policy == "static" else None,
-            store_format=store_format,
-        )
+        def store(name):
+            # The JSONL cache is a valid explicit cache object; cache_dir
+            # always opens the sharded store.
+            if backend == "jsonl":
+                return {"cache": ResultCache(tmp_path / name)}
+            return {"cache_dir": tmp_path / name}
+
         shutdown_worker_pool()
         fresh = run_campaign(
-            campaign, cache_dir=tmp_path / "fresh", **kwargs
+            campaign, jobs=2, chunk_size=chunk_size, **store("fresh")
         )
         # No shutdown in between: this run must reuse the live pool.
         reused = run_campaign(
-            campaign, cache_dir=tmp_path / "reused", **kwargs
+            campaign, jobs=2, chunk_size=chunk_size, **store("reused")
         )
-        tag = f"{chunk_policy}-{store_format}"
+        tag = f"{backend}-{chunk_size}"
         assert _bytes(fresh, tmp_path, f"fresh-{tag}") == serial_bytes
         assert _bytes(reused, tmp_path, f"reused-{tag}") == serial_bytes
         # Both runs filled their caches completely: a warm rerun from
         # either store executes nothing and still matches.
         warm = run_campaign(
-            campaign, cache_dir=tmp_path / "reused", **kwargs
+            campaign, jobs=2, chunk_size=chunk_size, **store("reused")
         )
         assert warm.stats.executed == 0
         assert _bytes(warm, tmp_path, f"warm-{tag}") == serial_bytes

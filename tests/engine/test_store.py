@@ -297,19 +297,6 @@ class TestMigration:
         assert [v.name for v in variants] == ["v0000", "v0001"]
         assert (tmp_path / "gencache.jsonl.migrated").exists()
 
-    def test_jsonl_format_untouched(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        legacy.put("m1", [meas(1)])
-        cache = open_result_cache(tmp_path, "jsonl")
-        assert isinstance(cache, ResultCache)
-        assert (tmp_path / "results.jsonl").exists()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store format"):
-            open_result_cache(tmp_path, "parquet")
-        with pytest.raises(ValueError, match="unknown store format"):
-            open_generation_cache(tmp_path, "parquet")
-
 
 class _FakeKernel:
     def __init__(self, i):

@@ -3,14 +3,22 @@
 The sharded store is a pure storage optimization — every campaign must
 write byte-identical CSV/JSONL whether its caches live in a single JSONL
 file or in indexed segments, across resume, forced re-measure, chunk
-sizes, and the one-time legacy migration.
+sizes, and the one-time legacy migration.  ``cache_dir`` always opens
+the sharded store; the JSONL caches take part as explicit ``cache=`` /
+``gen_cache=`` objects, the way they remain valid.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, SweepSpec, run_campaign
+from repro.engine import (
+    Campaign,
+    GenerationCache,
+    ResultCache,
+    SweepSpec,
+    run_campaign,
+)
 from repro.kernels import loadstore_family
 from repro.launcher import LauncherOptions
 from repro.machine import nehalem_2s_x5650
@@ -31,6 +39,23 @@ def _campaign() -> Campaign:
     )
 
 
+def _stores(fmt: str, d, *, gen: bool = True) -> dict:
+    """Engine keywords putting a run's caches under ``d`` in ``fmt``.
+
+    Every call opens fresh cache objects, so a second run reads what the
+    first one persisted.
+    """
+    if fmt == "jsonl":
+        stores = {"cache": ResultCache(d / "cache")}
+        if gen:
+            stores["gen_cache"] = GenerationCache(d / "gen")
+        return stores
+    stores = {"cache_dir": d / "cache"}
+    if gen:
+        stores["gen_cache_dir"] = d / "gen"
+    return stores
+
+
 def _output_bytes(run, directory, tag):
     csv = run.write_csv(directory / f"{tag}.csv")
     jsonl = run.write_jsonl(directory / f"{tag}.jsonl")
@@ -45,20 +70,9 @@ class TestBackendEquivalence:
             d = tmp_path / fmt
             d.mkdir()
             cold = run_campaign(
-                _campaign(),
-                jobs=2,
-                chunk_size=chunk_size,
-                cache_dir=d / "cache",
-                gen_cache_dir=d / "gen",
-                store_format=fmt,
+                _campaign(), jobs=2, chunk_size=chunk_size, **_stores(fmt, d)
             )
-            warm = run_campaign(
-                _campaign(),
-                jobs=1,
-                cache_dir=d / "cache",
-                gen_cache_dir=d / "gen",
-                store_format=fmt,
-            )
+            warm = run_campaign(_campaign(), jobs=1, **_stores(fmt, d))
             assert warm.stats.executed == 0, fmt
             assert warm.stats.cache_hits == warm.stats.total_jobs, fmt
             cold_bytes = _output_bytes(cold, d, "cold")
@@ -72,12 +86,9 @@ class TestBackendEquivalence:
         for fmt in ("jsonl", "sharded"):
             d = tmp_path / fmt
             d.mkdir()
-            run_campaign(_campaign(), cache_dir=d / "cache", store_format=fmt)
+            run_campaign(_campaign(), **_stores(fmt, d, gen=False))
             forced = run_campaign(
-                _campaign(),
-                cache_dir=d / "cache",
-                resume=False,
-                store_format=fmt,
+                _campaign(), resume=False, **_stores(fmt, d, gen=False)
             )
             assert forced.stats.executed == forced.stats.total_jobs
             outputs[fmt] = _output_bytes(forced, d, "forced")
@@ -87,19 +98,8 @@ class TestBackendEquivalence:
         """jsonl-run caches answer a later sharded run after migration —
         nothing re-executes and the bytes match."""
         cache_dir = tmp_path / "cache"
-        gen_dir = tmp_path / "gen"
-        cold = run_campaign(
-            _campaign(),
-            cache_dir=cache_dir,
-            gen_cache_dir=gen_dir,
-            store_format="jsonl",
-        )
-        warm = run_campaign(
-            _campaign(),
-            cache_dir=cache_dir,
-            gen_cache_dir=gen_dir,
-            store_format="sharded",
-        )
+        cold = run_campaign(_campaign(), **_stores("jsonl", tmp_path))
+        warm = run_campaign(_campaign(), **_stores("sharded", tmp_path))
         assert warm.stats.executed == 0
         assert not (cache_dir / "results.jsonl").exists()
         assert (cache_dir / "results.jsonl.migrated").exists()

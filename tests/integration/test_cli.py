@@ -1,5 +1,7 @@
 """CLI integration tests for microcreator / microlauncher."""
 
+import json
+
 import pytest
 
 from repro.cli.creator_cli import main as creator_main
@@ -144,3 +146,74 @@ class TestCreatorCliExtras:
     def test_show_c_language(self, spec_file, capsys):
         assert creator_main([spec_file, "--show", "0", "--language", "c"]) == 0
         assert "#include <string.h>" in capsys.readouterr().out
+
+
+#: The engine flags every campaign-running CLI shares.
+ENGINE_FLAGS = ("--jobs", "2", "--chunk-size", "2", "--max-retries", "1")
+
+
+class TestEngineFlags:
+    """The shared engine binder, driven through each CLI twice: the
+    second run is all cache hits and writes identical output."""
+
+    def test_launcher_exhibit_reruns_from_cache(self, tmp_path, capsys):
+        outputs, counters = [], []
+        for i in range(2):
+            metrics = tmp_path / f"m{i}.json"
+            args = [
+                "--exhibit", "ablation_overhead", *ENGINE_FLAGS,
+                "--cache-dir", str(tmp_path / "cache"),
+                "--metrics-out", str(metrics),
+            ]
+            assert launcher_main(args) == 0
+            outputs.append(capsys.readouterr().out.split("wrote metrics")[0])
+            counters.append(json.loads(metrics.read_text())["counters"])
+        assert counters[0]["engine.cache.misses"] == 8
+        assert counters[1]["engine.cache.misses"] == 0
+        assert counters[1]["engine.cache.hits"] == 8
+        assert outputs[0] == outputs[1]
+
+    def test_launcher_kernel_reruns_from_cache(self, spec_file, tmp_path, capsys):
+        creator_main([spec_file, "-o", str(tmp_path / "k")])
+        kernel = str(sorted((tmp_path / "k").glob("*.s"))[7])
+        capsys.readouterr()
+        csvs = []
+        for i in range(2):
+            csv = tmp_path / f"r{i}.csv"
+            args = [
+                kernel, "--alignment-sweep", *ENGINE_FLAGS,
+                "--cache-dir", str(tmp_path / "cache"), "--csv", str(csv),
+            ]
+            assert launcher_main(args) == 0
+            csvs.append(csv.read_bytes())
+        assert "1 jobs, 1 cached, 0 to run" in capsys.readouterr().out
+        assert csvs[0] == csvs[1]
+
+    def test_creator_measure_reruns_from_cache(self, spec_file, tmp_path, capsys):
+        results = []
+        for i in range(2):
+            out = tmp_path / f"r{i}.csv"
+            args = [
+                spec_file, "--measure", *ENGINE_FLAGS,
+                "--cache-dir", str(tmp_path / "cache"), "--results", str(out),
+            ]
+            assert creator_main(args) == 0
+            results.append(out.read_bytes())
+        assert "8 jobs, 8 cached, 0 to run" in capsys.readouterr().out
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "flag",
+        (
+            ("--chunk-policy", "static"),
+            ("--chunk-target-ms", "100"),
+            ("--store-format", "jsonl"),
+        ),
+    )
+    def test_deleted_flags_are_usage_errors(self, spec_file, flag, capsys):
+        with pytest.raises(SystemExit) as launcher_exit:
+            launcher_main(["--exhibit", "fig11", *flag])
+        with pytest.raises(SystemExit) as creator_exit:
+            creator_main([spec_file, "--measure", *flag])
+        assert launcher_exit.value.code == 2
+        assert creator_exit.value.code == 2
