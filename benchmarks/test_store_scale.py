@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import ResultCache, ShardedResultCache
-from repro.engine.cache import record_check
+from repro.engine.cache import encode_record
 from repro.engine.serialize import measurements_from_payload
 
 SCALES = tuple(
@@ -81,12 +81,8 @@ def _populate_jsonl(directory: Path, rows: int) -> float:
     one open() syscall per row, which is not what this benchmark gates."""
     directory.mkdir(parents=True)
     start = time.perf_counter()
-    lines = []
-    for i in range(rows):
-        record = _record(i)
-        record["check"] = record_check(record)
-        lines.append(json.dumps(record))
-    (directory / "results.jsonl").write_text("\n".join(lines) + "\n")
+    lines = [encode_record(_record(i)) for i in range(rows)]
+    (directory / "results.jsonl").write_bytes(b"\n".join(lines) + b"\n")
     return time.perf_counter() - start
 
 

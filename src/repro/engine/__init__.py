@@ -83,7 +83,6 @@ from repro.engine.serialize import (
     measurement_from_dict,
     measurement_to_dict,
     measurements_from_payload,
-    options_to_dict,
 )
 from repro.engine.store import (
     ShardedGenerationCache,
@@ -127,7 +126,6 @@ __all__ = [
     "open_generation_cache",
     "open_result_cache",
     "options_digest",
-    "options_to_dict",
     "pack_chunk",
     "run_campaign",
     "shutdown_worker_pool",

@@ -1,9 +1,10 @@
 """The disk-backed result cache: one JSONL file keyed by job ID.
 
-Layout: ``<cache_dir>/results.jsonl``, one line per stored job::
+Layout: ``<cache_dir>/results.jsonl``, one line per stored job, written
+by :func:`encode_record` (checksum first, then the sorted-key body)::
 
-    {"job_id": "6fb0...", "kernel": "...", "mode": "sequential",
-     "measurements": [{...}, ...], "check": "9c41..."}
+    {"check": "9c41...", "job_id": "6fb0...", "kernel": "...",
+     "measurements": [{...}, ...], "mode": "sequential"}
 
 Append-only and crash-tolerant: every completed job is flushed
 immediately, so an interrupted campaign resumes from the last finished
@@ -42,18 +43,50 @@ def record_check(record: dict) -> str:
     return hashlib.sha256(canonical.encode(errors="replace")).hexdigest()[:16]
 
 
-# Backwards-compatible alias (pre-gencache name).
-_record_check = record_check
+#: A line written by :func:`encode_record` starts ``{"check": "`` + 16
+#: hex digits + ``", `` (30 bytes); the canonical body follows.
+_LINE_HEAD = b'{"check": "'
+_LINE_HEAD_SIZE = 30
 
 
-def check_passes(record: dict) -> bool:
+def encode_record(record: dict) -> bytes:
+    """The stored line for ``record`` (no newline), with one JSON encode.
+
+    The body (every field but ``check``) is encoded once, with sorted
+    keys — exactly what :func:`record_check` hashes — and the line is
+    that body with ``"check"`` spliced in as its first key.  It parses
+    to the same dict as ``json.dumps(record)`` and has the same length.
+    """
+    body = json.dumps(
+        {k: v for k, v in record.items() if k != "check"}, sort_keys=True
+    ).encode()
+    check = hashlib.sha256(body).hexdigest()[:16].encode()
+    return b"".join((_LINE_HEAD, check, b'", ', memoryview(body)[1:]))
+
+
+def check_passes(record: dict, raw: bytes | None = None) -> bool:
     """Checksum validation shared by every record shape.
 
     Records written before checksums existed carry no ``check`` field and
     are accepted as-is; anything else must digest to its stored value.
+    ``raw`` is the record's line as stored: a line in the
+    :func:`encode_record` layout is verified by hashing its body bytes,
+    with no re-encode.  Any other line — or one whose bytes no longer
+    hash to its check — gets the re-encoding :func:`record_check`, so
+    acceptance is the same either way.
     """
     check = record.get("check")
-    return check is None or check == record_check(record)
+    if check is None:
+        return True
+    if (
+        raw is not None
+        and raw[:11] == _LINE_HEAD
+        and raw[27:_LINE_HEAD_SIZE] == b'", '
+        and hashlib.sha256(b"{" + raw[_LINE_HEAD_SIZE:]).hexdigest()[:16]
+        == raw[11:27].decode("ascii", "replace")
+    ):
+        return True
+    return check == record_check(record)
 
 
 #: Exactly the keys :meth:`ResultCache.put` (and the sharded backend)
@@ -65,12 +98,13 @@ _RESULT_RECORD_KEYS = frozenset(
 )
 
 
-def valid_result_record(record: object) -> bool:
+def valid_result_record(record: object, raw: bytes | None = None) -> bool:
     """Structural + integrity validation of one result-cache record.
 
     Shared by every result-store backend (:class:`ResultCache` and the
     sharded store in :mod:`repro.engine.store`): the record shape is the
-    storage contract, not a property of any one file layout.
+    storage contract, not a property of any one file layout.  ``raw`` is
+    the line the record was parsed from (see :func:`check_passes`).
     """
     if not isinstance(record, dict):
         return False
@@ -82,7 +116,7 @@ def valid_result_record(record: object) -> bool:
         return False
     if not all(isinstance(m, dict) for m in measurements):
         return False
-    return check_passes(record)
+    return check_passes(record, raw)
 
 
 @dataclass(slots=True)
@@ -134,13 +168,9 @@ class JsonlCache:
         self._torn_tail = False
         self._load()
 
-    def _valid_record(self, record: object) -> bool:
+    def _valid_record(self, record: object, raw: bytes) -> bool:
         """Structural + integrity validation of one loaded record."""
         raise NotImplementedError
-
-    def _check_passes(self, record: dict) -> bool:
-        """Checksum validation shared by every record shape."""
-        return check_passes(record)
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -158,7 +188,7 @@ class JsonlCache:
                 except json.JSONDecodeError:
                     self._corrupt_lines += 1
                     continue
-                if self._valid_record(record):
+                if self._valid_record(record, line.encode()):
                     self._records[record[self.KEY]] = record
                 else:
                     self._corrupt_lines += 1
@@ -182,7 +212,6 @@ class JsonlCache:
         whole file is first rewritten to the surviving valid records —
         the cache heals itself the next time it is written to.
         """
-        record["check"] = record_check(record)
         self._records[record[self.KEY]] = record
         if self._corrupt_lines:
             self._rewrite()
@@ -193,7 +222,7 @@ class JsonlCache:
             with self.path.open("ab") as fh:
                 if self._torn_tail:
                     fh.write(b"\n")
-                fh.write(json.dumps(record).encode() + b"\n")
+                fh.write(encode_record(record) + b"\n")
             self._torn_tail = False
         self.stats.stores += 1
 
@@ -209,7 +238,6 @@ class JsonlCache:
         if not records:
             return
         for record in records:
-            record["check"] = record_check(record)
             self._records[record[self.KEY]] = record
         if self._corrupt_lines:
             self._rewrite()
@@ -218,7 +246,7 @@ class JsonlCache:
                 if self._torn_tail:
                     fh.write(b"\n")
                 for record in records:
-                    fh.write(json.dumps(record).encode() + b"\n")
+                    fh.write(encode_record(record) + b"\n")
             self._torn_tail = False
         self.stats.stores += len(records)
 
@@ -238,9 +266,9 @@ class JsonlCache:
         count as fresh corruption.
         """
         tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open("wb") as fh:
             for record in self._records.values():
-                fh.write(json.dumps(record) + "\n")
+                fh.write(encode_record(record) + b"\n")
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(self.path)
@@ -267,8 +295,8 @@ class ResultCache(JsonlCache):
     FILENAME = "results.jsonl"
     KEY = "job_id"
 
-    def _valid_record(self, record: object) -> bool:
-        return valid_result_record(record)
+    def _valid_record(self, record: object, raw: bytes) -> bool:
+        return valid_result_record(record, raw)
 
     def get(self, job_id: str) -> list[dict] | None:
         """Stored measurement dicts for ``job_id``, or ``None`` (counted).

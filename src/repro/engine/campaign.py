@@ -21,6 +21,7 @@ from repro.engine.hashing import (
     machine_digest,
     options_digest,
 )
+from repro.engine.serialize import EncodedOptions
 from repro.fastpickle import fast_slots_pickling
 from repro.launcher.options import LauncherOptions
 from repro.machine.config import MachineConfig
@@ -183,6 +184,7 @@ class Campaign:
         index = 0
         for sweep in self.sweeps:
             n_explicit = len(sweep.kernels)
+            base = EncodedOptions(sweep.base)
             spec_dig = opts_dig = ""
             if defer and sweep.spec is not None:
                 from repro.engine.generation import KernelRef
@@ -210,7 +212,10 @@ class Campaign:
                 for overrides in sweep.option_points():
                     options = sweep.base.with_(**overrides)
                     job_id = job_id_for(
-                        kernel_dig, options_digest(options), machine_dig, sweep.mode
+                        kernel_dig,
+                        options_digest(options, base, overrides),
+                        machine_dig,
+                        sweep.mode,
                     )
                     yield Job(
                         job_id=job_id,

@@ -7,10 +7,11 @@ campaigns may persist each expansion here (``<dir>/gencache.jsonl``) and
 skip the pipeline entirely on the next run, which is what makes
 ``--resume`` and repeated sweeps start measuring immediately::
 
-    {"key": "<spec digest>:<creator-options digest>", "spec": "matmul",
-     "variants": [{"variant_id": 0, "name": "matmul_v0000",
-                   "digest": "ab12...", "text": ".text\\n...",
-                   "metadata": {...}}, ...], "check": "9c41..."}
+    {"check": "9c41...", "key": "<spec digest>:<creator-options digest>",
+     "spec": "matmul",
+     "variants": [{"digest": "ab12...", "metadata": {...},
+                   "name": "matmul_v0000", "text": ".text\\n...",
+                   "variant_id": 0}, ...]}
 
 Storage discipline is inherited from :class:`~repro.engine.cache.JsonlCache`
 — whole-record checksums, damaged lines skipped on load, atomic
@@ -33,11 +34,13 @@ from repro.engine.hashing import kernel_digest
 from repro.isa.instructions import AsmProgram, Instruction
 
 
-def valid_generation_record(record: object) -> bool:
+def valid_generation_record(record: object, raw: bytes | None = None) -> bool:
     """Structural + integrity validation of one generation-cache record.
 
     Shared by every generation-store backend (:class:`GenerationCache`
-    and the sharded store in :mod:`repro.engine.store`).
+    and the sharded store in :mod:`repro.engine.store`).  ``raw`` is the
+    line the record was parsed from (see
+    :func:`~repro.engine.cache.check_passes`).
     """
     if not isinstance(record, dict):
         return False
@@ -59,7 +62,7 @@ def valid_generation_record(record: object) -> bool:
             return False
         if not isinstance(v.get("metadata"), dict):
             return False
-    return check_passes(record)
+    return check_passes(record, raw)
 
 
 def variants_from_record(record: dict) -> list["CachedVariant"]:
@@ -220,8 +223,8 @@ class GenerationCache(JsonlCache):
     def key_for(spec_dig: str, opts_dig: str) -> str:
         return f"{spec_dig}:{opts_dig}"
 
-    def _valid_record(self, record: object) -> bool:
-        return valid_generation_record(record)
+    def _valid_record(self, record: object, raw: bytes) -> bool:
+        return valid_generation_record(record, raw)
 
     def get(self, spec_dig: str, opts_dig: str) -> list[CachedVariant] | None:
         """The stored expansion for this spec + options, or ``None``."""

@@ -14,9 +14,12 @@ import hashlib
 import json
 import weakref
 from pathlib import Path
+from typing import Iterable
 
+from repro.engine.serialize import EncodedOptions
 from repro.isa.instructions import AsmProgram
 from repro.isa.writer import write_program
+from repro.launcher.options import LauncherOptions
 from repro.machine.config import MachineConfig
 from repro.machine.serialize import machine_to_dict
 from repro.spec.schema import KernelSpec
@@ -119,11 +122,20 @@ def creator_options_digest(options: object) -> str:
     return _sha(canonical_json(payload))
 
 
-def options_digest(options: object) -> str:
-    """Digest of a :class:`~repro.launcher.LauncherOptions` value."""
-    from repro.engine.serialize import options_to_dict
+def options_digest(
+    options: LauncherOptions,
+    base: EncodedOptions | None = None,
+    changed: Iterable[str] = (),
+) -> str:
+    """Digest of a :class:`~repro.launcher.LauncherOptions` value.
 
-    return _sha(canonical_json(options_to_dict(options)))
+    A sweep passes its base's :class:`EncodedOptions` and the names of
+    the fields its point overrides; only those fields are re-encoded.
+    Either way the digest is over the same canonical JSON.
+    """
+    if base is None:
+        base = EncodedOptions(options)
+    return _sha(base.json(options, changed))
 
 
 def machine_digest(config: MachineConfig) -> str:

@@ -1,4 +1,4 @@
-"""Engine serialization: ``Measurement`` <-> dict, options -> dict.
+"""Engine serialization: ``Measurement`` <-> dict, options -> canonical JSON.
 
 The result cache, the worker-pool transport, and the JSONL output format
 all speak plain JSON-safe dicts.  Floats survive exactly (JSON carries
@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
+import math
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from repro.launcher.measurement import Measurement
 from repro.launcher.options import LauncherOptions
@@ -70,6 +74,9 @@ def _tupled(value: object) -> object:
     return value
 
 
+_MEASUREMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(Measurement))
+
+
 def measurement_from_dict(data: dict) -> Measurement:
     """Reconstruct a measurement from :func:`measurement_to_dict` output.
 
@@ -82,8 +89,7 @@ def measurement_from_dict(data: dict) -> Measurement:
     data["metadata"] = {
         k: _tupled(v) for k, v in (data.get("metadata") or {}).items()
     }
-    known = {f.name for f in dataclasses.fields(Measurement)}
-    unknown = set(data) - known
+    unknown = data.keys() - _MEASUREMENT_FIELDS
     if unknown:
         raise ValueError(f"unknown measurement fields: {sorted(unknown)}")
     return Measurement(**data)
@@ -107,12 +113,12 @@ def measurements_from_payload(payload: object) -> list[Measurement]:
         raise ValueError(f"corrupt measurement payload: {exc}") from None
 
 
-#: Fields omitted from the options dict while at their defaults.  This
-#: dict feeds ``options_digest`` and therefore every job id and derived
-#: noise seed — unconditionally serializing fields added after the format
-#: froze would re-key every existing cache and change fixed-count output
-#: bytes.  Adaptive knobs appear in the digest only when they matter
-#: (i.e. when any of them is changed from its default).
+#: Fields omitted from the options encoding while at their defaults.
+#: The encoding feeds ``options_digest`` and therefore every job id and
+#: derived noise seed — unconditionally serializing fields added after
+#: the format froze would re-key every existing cache and change
+#: fixed-count output bytes.  Adaptive knobs appear in the digest only
+#: when they matter (i.e. when any of them is changed from its default).
 _DIGEST_DEFAULT_FIELDS = (
     "rciw_target",
     "min_experiments",
@@ -120,17 +126,79 @@ _DIGEST_DEFAULT_FIELDS = (
     "batch_size",
 )
 
+_DIGEST_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(LauncherOptions)
+    if f.name in _DIGEST_DEFAULT_FIELDS
+}
+#: ``(name, '"name":')`` for every options field, in canonical key order.
+_OPTION_KEYS = tuple(
+    (name, json.dumps(name) + ":")
+    for name in sorted(f.name for f in dataclasses.fields(LauncherOptions))
+)
+_KEY_PREFIX = dict(_OPTION_KEYS)
 
-def options_to_dict(options: LauncherOptions) -> dict:
-    """Serialize launcher options to a JSON-safe dict (digest input)."""
-    defaults = {
-        f.name: f.default
-        for f in dataclasses.fields(LauncherOptions)
-        if f.name in _DIGEST_DEFAULT_FIELDS
-    }
-    return {
-        f.name: _json_safe(getattr(options, f.name))
-        for f in dataclasses.fields(LauncherOptions)
-        if f.name not in defaults
-        or getattr(options, f.name) != defaults[f.name]
-    }
+
+def _encode_value(value: object) -> str:
+    """``canonical_json(_json_safe(value))``, without the detour for scalars.
+
+    Dispatch is on the exact type: ``True``, ``1`` and ``1.0`` compare
+    equal but encode as ``true``, ``1`` and ``1.0``.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(_json_safe(value), sort_keys=True, separators=(",", ":"))
+
+
+class EncodedOptions:
+    """Canonical JSON of one :class:`LauncherOptions` value, kept per field.
+
+    The canonical form is the sorted-key, whitespace-free JSON object of
+    every field (``_json_safe`` values), minus the adaptive knobs that sit
+    at their defaults.  A sweep encodes its base once; :meth:`json` then
+    re-encodes only the fields a job overrides.
+    """
+
+    __slots__ = ("_parts", "_slot")
+
+    def __init__(self, options: LauncherOptions) -> None:
+        parts: list[str] = []
+        slot: dict[str, int] = {}
+        for name, prefix in _OPTION_KEYS:
+            value = getattr(options, name)
+            if name in _DIGEST_DEFAULTS and value == _DIGEST_DEFAULTS[name]:
+                continue
+            slot[name] = len(parts)
+            parts.append(prefix + _encode_value(value))
+        self._parts = parts
+        self._slot = slot
+
+    def json(
+        self, options: LauncherOptions | None = None, changed: Iterable[str] = ()
+    ) -> str:
+        """Canonical JSON of ``options``.
+
+        ``options`` must equal the encoded value in every field except
+        those named in ``changed``.  Changing a default-omitted adaptive
+        knob can add or drop a key, so that case encodes ``options`` in
+        full.
+        """
+        parts = self._parts
+        if changed:
+            if not _DIGEST_DEFAULTS.keys().isdisjoint(changed):
+                return EncodedOptions(options).json()  # type: ignore[arg-type]
+            parts = parts.copy()
+            for name in changed:
+                parts[self._slot[name]] = _KEY_PREFIX[name] + _encode_value(
+                    getattr(options, name)
+                )
+        return "{" + ",".join(parts) + "}"

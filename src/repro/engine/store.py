@@ -56,7 +56,7 @@ from repro import obs
 from repro.engine.cache import (
     CacheStats,
     ResultCache,
-    record_check,
+    encode_record,
     valid_result_record,
 )
 from repro.engine.gencache import (
@@ -148,7 +148,7 @@ class ShardedStore:
         directory: str | Path,
         *,
         key_field: str,
-        valid_record: Callable[[object], bool],
+        valid_record: Callable[[object, bytes], bool],
         shards: int = 8,
         segment_records: int = 4096,
         columnar: Callable[[list[dict]], dict | None] | None = None,
@@ -417,7 +417,7 @@ class ShardedStore:
                 record = None
             if (
                 record is None
-                or not self._valid(record)
+                or not self._valid(record, raw)
                 or not isinstance(record.get(self.key_field), str)
             ):
                 scan.corrupt += 1
@@ -587,13 +587,14 @@ class ShardedStore:
         return self._scan_for(key)
 
     def _reader(self, shard: int, segment: int):
-        handle = self._readers.get((shard, segment))
+        """An open read handle, from at most 32 kept least recently used."""
+        key = (shard, segment)
+        handle = self._readers.pop(key, None)
         if handle is None:
             if len(self._readers) >= 32:
-                _, old = self._readers.popitem()
-                old.close()
+                self._readers.pop(next(iter(self._readers))).close()
             handle = self._segment_path(shard, segment).open("rb")
-            self._readers[(shard, segment)] = handle
+        self._readers[key] = handle
         return handle
 
     def _read_at(
@@ -622,7 +623,7 @@ class ShardedStore:
             record = json.loads(raw)
         except ValueError:
             return None
-        if not self._valid(record) or record.get(self.key_field) != key:
+        if not self._valid(record, raw) or record.get(self.key_field) != key:
             return None
         return record
 
@@ -665,8 +666,9 @@ class ShardedStore:
     # -- write path ----------------------------------------------------
 
     def put_record(self, key: str, record: dict, *, flush: bool = True) -> None:
-        """Checksum, append, and index one record (repairing first if
-        damage was observed, exactly like ``JsonlCache._store``).
+        """Encode (see :func:`~repro.engine.cache.encode_record`), append,
+        and index one record (repairing first if damage was observed,
+        exactly like ``JsonlCache._store``).
 
         ``flush=False`` defers the durability point: the segment and
         index bytes are written but not flushed, letting a caller batch
@@ -674,9 +676,7 @@ class ShardedStore:
         :meth:`flush` — same bytes on disk, one syscall round instead
         of two per record.
         """
-        record = dict(record)
-        record.pop("check", None)
-        record["check"] = record_check(record)
+        line = encode_record(record) + b"\n"
         if self._dirty:
             self._repair()
         new_key = key not in self
@@ -684,7 +684,6 @@ class ShardedStore:
         state = self._shard_state.setdefault(shard, _Shard())
         if state.records >= self.segment_records:
             self._seal(shard)
-        line = json.dumps(record).encode() + b"\n"
         offset = state.size
         fh = self._appender(shard, state.segment)
         if state.torn:

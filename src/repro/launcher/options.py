@@ -11,7 +11,7 @@ repetitions, CPU pinning, or number of cores on which to run the program"
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 from repro.fastpickle import fast_slots_pickling
 from repro.machine.config import MemLevel
@@ -214,8 +214,15 @@ class LauncherOptions:
             raise ValueError(f"unknown evaluation library {self.eval_library!r}")
 
     def with_(self, **changes: object) -> "LauncherOptions":
-        """Copy with field overrides (sweep helper)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
+        """Copy with field overrides (sweep helper).
+
+        Same result as ``dataclasses.replace``, without its per-call field
+        introspection: ``__init__`` still rejects unknown names and
+        ``__post_init__`` still validates the copy.
+        """
+        values = {name: getattr(self, name) for name in _FIELD_NAMES}
+        values.update(changes)
+        return type(self)(**values)  # type: ignore[arg-type]
 
     @property
     def adaptive(self) -> bool:
@@ -249,3 +256,6 @@ class LauncherOptions:
         if index < len(self.alignments):
             return self.alignments[index]
         return self.alignment
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(LauncherOptions))

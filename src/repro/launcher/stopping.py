@@ -117,7 +117,7 @@ def adaptive_overrides(
     The CLIs and the analysis experiments thread optional adaptive
     settings through to option construction; leaving a knob unset must
     leave the corresponding field untouched (digest stability — see
-    ``repro.engine.serialize.options_to_dict``), so only explicit values
+    ``repro.engine.serialize.EncodedOptions``), so only explicit values
     survive into the override dict.
     """
     overrides = {

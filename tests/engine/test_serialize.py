@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.engine import (
-    measurement_from_dict,
-    measurement_to_dict,
-    options_to_dict,
-)
+from repro.engine import measurement_from_dict, measurement_to_dict
+from repro.engine.serialize import EncodedOptions
 from repro.launcher import LauncherOptions
 
 
@@ -35,18 +32,21 @@ class TestMeasurementRoundTrip:
             assert measurement_from_dict(measurement_to_dict(m)) == m
 
 
-class TestOptionsToDict:
+def _options_dict(options: LauncherOptions) -> dict:
+    return json.loads(EncodedOptions(options).json())
+
+
+class TestOptionsEncoding:
     def test_json_safe(self):
         options = LauncherOptions(alignments=(0, 64), frequency_ghz=2.67)
-        data = options_to_dict(options)
-        json.dumps(data)  # must not raise
+        data = _options_dict(options)
         assert data["alignments"] == [0, 64]
         assert data["frequency_ghz"] == 2.67
 
     def test_covers_every_field(self):
         """Every field serializes — except adaptive knobs at defaults.
 
-        The dict feeds ``options_digest`` (job ids, derived noise
+        The encoding feeds ``options_digest`` (job ids, derived noise
         seeds); knobs added after the format froze stay out of it until
         changed, so pre-existing caches and fixed-count output bytes
         survive the feature's introduction.
@@ -54,13 +54,13 @@ class TestOptionsToDict:
         import dataclasses
 
         adaptive = {"rciw_target", "min_experiments", "max_experiments", "batch_size"}
-        data = options_to_dict(LauncherOptions())
+        data = _options_dict(LauncherOptions())
         assert set(data) == {
             f.name for f in dataclasses.fields(LauncherOptions)
         } - adaptive
 
     def test_adaptive_fields_serialize_when_changed(self):
-        data = options_to_dict(LauncherOptions(rciw_target=0.02, max_experiments=128))
+        data = _options_dict(LauncherOptions(rciw_target=0.02, max_experiments=128))
         assert data["rciw_target"] == 0.02
         assert data["max_experiments"] == 128
         assert "min_experiments" not in data  # still at its default

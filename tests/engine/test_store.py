@@ -129,6 +129,39 @@ class TestSegments:
         finally:
             json.loads = original
 
+    def test_in_order_pass_opens_each_segment_once(self, tmp_path, monkeypatch):
+        """Past 32 open segments the least recently used handle goes.
+
+        Keys alternate between two shards, so an in-order pass walks two
+        segments at a time; evicting the newest handle instead would
+        reopen them over and over.
+        """
+        from pathlib import Path
+
+        cache = ShardedResultCache(tmp_path, shards=2, segment_records=8)
+        keys = [f"j{i:03d}" for i in range(800)]
+        for i, key in enumerate(keys):
+            cache.put(key, [meas(i)])
+        cache.store.close()
+        n_segments = len(list(tmp_path.glob("results.shards/seg-*.jsonl")))
+        assert n_segments > 32
+
+        reopened = ShardedResultCache(tmp_path)
+        opened: list[str] = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self.name.startswith("seg-"):
+                opened.append(self.name)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        for i, key in enumerate(keys):
+            assert reopened.get(key) == [meas(i)]
+        assert sorted(opened) == sorted(set(opened))
+        assert len(opened) == n_segments
+        assert len(reopened.store._readers) <= 32
+
 
 class TestIndexRecovery:
     def fill(self, tmp_path):

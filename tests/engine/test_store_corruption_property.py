@@ -34,11 +34,13 @@ def _fresh_store(tmp_path):
 def _reference_recovery(store_dir) -> dict:
     """What the JSONL discipline recovers from the damaged segment bytes:
     parse every line of every segment, keep checksum-valid records,
-    later occurrences winning."""
+    later occurrences winning.  Checksums are verified by re-encoding
+    the parsed record only (no raw line bytes), so the reference stays
+    independent of the store's raw-bytes fast path."""
     recovered: dict[str, list[dict]] = {}
     scratch = ShardedStore.__new__(ShardedStore)  # reuse the line walker
     scratch.key_field = "job_id"
-    scratch._valid = valid_result_record
+    scratch._valid = lambda record, _raw: valid_result_record(record)
     for path in sorted(store_dir.glob("seg-*.jsonl")):
         scan = scratch._scan_bytes(path.read_bytes(), keep=True)
         for (key, _off, _len), record in zip(scan.valids, scan.records):
